@@ -86,7 +86,7 @@ bench-diff:
 
 # Time-budgeted verification farm (docs/PERFORMANCE.md): a planted-
 # regression benchdiff self-test, then iterations of the oracle
-# campaign with the portfolio front-end on and both fuzz targets; with
+# campaign and both fuzz targets; with
 # a budget past ~90s each loop also regenerates BENCH_PR10.json in a
 # scratch workspace and benchdiff-gates it against the committed
 # baseline. `make farm FARMTIME=30m` for a soak; the default short

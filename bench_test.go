@@ -14,17 +14,13 @@ import (
 	"fmt"
 	"testing"
 
-	"pathslice/internal/alias"
-	"pathslice/internal/bddrel"
 	"pathslice/internal/bench"
 	"pathslice/internal/cegar"
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
 	"pathslice/internal/core"
-	"pathslice/internal/dataflow"
 	"pathslice/internal/instrument"
 	"pathslice/internal/lang/types"
-	"pathslice/internal/modref"
 	"pathslice/internal/progslice"
 	"pathslice/internal/smt"
 	"pathslice/internal/synth"
@@ -502,51 +498,6 @@ func BenchmarkAnalyses_Setup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.New(cprog)
 	}
-}
-
-// BenchmarkAblation_BitsetVsBDD compares the dense-bitset WrBt/By
-// implementation against the BDD-backed one on a gcc-class program —
-// the representation question the paper leaves as future work (§5).
-func BenchmarkAblation_BitsetVsBDD(b *testing.B) {
-	p := synth.GccProfile(0.08)
-	ins, err := bench.CompileProfile(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cprog := compiledProfile(b, ins)
-	al := alias.Analyze(cprog)
-	mr := modref.Analyze(cprog, al)
-	// A representative query workload: WrBt over strided location pairs
-	// of the largest function.
-	var biggest *cfa.CFA
-	for _, fn := range cprog.Funcs {
-		if biggest == nil || len(fn.Locs) > len(biggest.Locs) {
-			biggest = fn
-		}
-	}
-	live := cfa.NewLvalSet(cfa.Lvalue{Var: "cfg2"})
-	b.Run("bitset", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			df := dataflow.Analyze(cprog, al, mr)
-			for ai := 0; ai < len(biggest.Locs); ai += 3 {
-				for bi := 0; bi < len(biggest.Locs); bi += 5 {
-					df.MustWrBt(biggest.Locs[ai], biggest.Locs[bi], live)
-				}
-			}
-		}
-	})
-	b.Run("bdd", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			br := bddrel.Analyze(cprog, al, mr)
-			for ai := 0; ai < len(biggest.Locs); ai += 3 {
-				for bi := 0; bi < len(biggest.Locs); bi += 5 {
-					br.WrBt(biggest.Locs[ai], biggest.Locs[bi], live)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkEarlyUnsatStop measures the §4.2 early-stop loop both ways

@@ -20,10 +20,9 @@
 // the cold round — same-host by construction), its snapshot-restart
 // invariants (snapshot_restart: a restored server's first request must
 // reuse every snapshot constituent, drop nothing, and beat a cold
-// first request), and its portfolio invariants (portfolio: zero
-// verdict divergences, batched solving at least 1.5x faster than
-// serial, the racing front-end no slower than incremental-only beyond
-// noise), and its concurrency-twin invariants (concurrency: the
+// first request), its batched-solving invariants (portfolio.batch:
+// zero verdict divergences, batched solving at least 1.5x faster than
+// serial), and its concurrency-twin invariants (concurrency: the
 // cross-thread walk visits at most 1.5x the serialized twin's edges,
 // on a trace with >= 2 threads and racy edges — docs/CONCURRENCY.md).
 // The early-unsat-stop speedup ratio carries its own tighter
@@ -33,8 +32,7 @@
 // Usage:
 //
 //	benchdiff [-dir .] [-old f] [-new f] [-max-regress 0.20] [-max-growth 1.8]
-//	          [-max-speedup-drop 0.15] [-min-batch-ratio 1.5] [-portfolio-noise 1.25]
-//	          [-max-walk-ratio 1.5]
+//	          [-max-speedup-drop 0.15] [-min-batch-ratio 1.5] [-max-walk-ratio 1.5]
 //
 // `make bench-diff` runs it over the checked-in artifacts; `make
 // check` includes it.
@@ -96,15 +94,7 @@ type artifact struct {
 		SolverCacheHits   int64   `json:"solver_cache_hits"`
 	} `json:"snapshot_restart"`
 	Portfolio *struct {
-		Queries         int     `json:"queries"`
-		Decided         int     `json:"decided"`
-		Divergences     int     `json:"divergences"`
-		WinsICP         int     `json:"wins_icp"`
-		WinsIncremental int     `json:"wins_incremental"`
-		WinsScratch     int     `json:"wins_scratch"`
-		PortfolioMS     float64 `json:"portfolio_ms"`
-		IncrementalMS   float64 `json:"incremental_ms"`
-		Batch           *struct {
+		Batch *struct {
 			Queries     int     `json:"queries"`
 			Divergences int     `json:"divergences"`
 			SerialMS    float64 `json:"serial_ms"`
@@ -142,7 +132,6 @@ func main() {
 	maxGrowth := flag.Float64("max-growth", 1.8, "allowed summarized walked-edge growth per trace doubling")
 	maxSpeedupDrop := flag.Float64("max-speedup-drop", 0.15, "allowed relative drop of the early-unsat-stop speedup ratio")
 	minBatchRatio := flag.Float64("min-batch-ratio", 1.5, "required batched-vs-serial wall advantage in the fresh artifact")
-	portfolioNoise := flag.Float64("portfolio-noise", 1.25, "allowed portfolio-vs-incremental wall ratio in the fresh artifact")
 	maxWalkRatio := flag.Float64("max-walk-ratio", 1.5, "allowed threaded-vs-serialized walked-edge ratio in the fresh artifact")
 	flag.Parse()
 
@@ -163,7 +152,7 @@ func main() {
 	checkSublinear(*newPath, fresh, *maxGrowth)
 	checkServiceWarm(*newPath, fresh)
 	checkSnapshotRestart(*newPath, fresh)
-	checkPortfolio(*newPath, fresh, *minBatchRatio, *portfolioNoise)
+	checkBatch(*newPath, fresh, *minBatchRatio)
 	checkConcurrency(*newPath, fresh, *maxWalkRatio)
 
 	if *oldPath == "" {
@@ -324,31 +313,16 @@ func checkSnapshotRestart(path string, a *artifact) {
 	}
 }
 
-// checkPortfolio enforces the fresh artifact's own portfolio/batch
-// invariants (the cold/warm pattern again: both sides of each
+// checkBatch enforces the fresh artifact's own batched-solving
+// invariants (the cold/warm pattern again: both sides of the
 // comparison come from one benchjson run on one machine, so no host
-// gating is needed). Any verdict divergence is a soundness failure;
-// a batch ratio under minBatchRatio means prefix sharing stopped
-// paying; a portfolio slower than the incremental engine alone beyond
-// the noise margin means the racing front-end costs more than it buys.
-func checkPortfolio(path string, a *artifact, minBatchRatio, noise float64) {
+// gating is needed). Any verdict divergence is a soundness failure; a
+// batch ratio under minBatchRatio means prefix sharing stopped paying.
+func checkBatch(path string, a *artifact, minBatchRatio float64) {
 	p := a.Portfolio
 	if p == nil {
 		fmt.Printf("note: %s has no portfolio section, skipping\n", path)
 		return
-	}
-	if p.Divergences != 0 {
-		failf("%s: portfolio diverged from the stateless reference on %d/%d queries", path, p.Divergences, p.Decided)
-	}
-	if p.Decided == 0 {
-		failf("%s: portfolio corpus decided nothing — the comparison is vacuous", path)
-	}
-	if p.PortfolioMS > p.IncrementalMS*noise {
-		failf("%s: portfolio wall %.2fms vs incremental-only %.2fms — beyond the %.2fx noise margin",
-			path, p.PortfolioMS, p.IncrementalMS, noise)
-	} else {
-		fmt.Printf("portfolio: %d queries (icp/inc/scratch wins %d/%d/%d), %.1fms vs incremental-only %.1fms\n",
-			p.Queries, p.WinsICP, p.WinsIncremental, p.WinsScratch, p.PortfolioMS, p.IncrementalMS)
 	}
 	b := p.Batch
 	if b == nil {

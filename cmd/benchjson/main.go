@@ -7,11 +7,11 @@
 // cold-vs-warm service round trip (cross-request reuse counters that
 // `make bench-diff` also gates on), the snapshot-restart comparison
 // (a snapshot-restored server's first request vs a cold server's,
-// also gated), the portfolio/batch solving comparison (per-strategy
-// win table, batched-vs-serial wall ratio, verdict agreement — all
-// gated), the concurrency twin comparison (threaded vs serialized
-// walked edges — the cross-thread slicing overhead `make bench-diff`
-// gates at 1.5x; docs/CONCURRENCY.md), and the oracle campaign's
+// also gated), the batched-solving comparison (batched-vs-serial wall
+// ratio and verdict agreement, both gated), the concurrency twin
+// comparison (threaded vs serialized walked edges — the cross-thread
+// slicing overhead `make bench-diff` gates at 1.5x;
+// docs/CONCURRENCY.md), and the oracle campaign's
 // corpus statistics (pairs checked, coverage fingerprints,
 // brute-force minimal-slice agreement). It backs `make bench-json`
 // (output: BENCH_PR10.json), giving performance and test-coverage work
@@ -102,12 +102,11 @@ type output struct {
 	// requires the restored request to reuse programs, summaries, and
 	// verdicts, drop nothing, and beat the cold one.
 	SnapshotRestart *snapshotRestartRecord `json:"snapshot_restart"`
-	// Portfolio is the racing-front-end and batched-solving comparison
-	// over the guard-chain query corpus: the per-strategy win table,
-	// verdict agreement with the stateless reference, and the
-	// batched-vs-serial wall ratio. benchdiff requires zero
-	// divergences, a batch ratio of at least 1.5, and the portfolio no
-	// slower than the incremental engine alone beyond noise.
+	// Portfolio nests the batched-solving comparison over the
+	// guard-chain query corpus under the section name earlier
+	// artifacts used: the batched-vs-serial wall ratio and verdict
+	// agreement. benchdiff requires zero divergences and a batch ratio
+	// of at least 1.5.
 	Portfolio *portfolioRecord `json:"portfolio"`
 	// Concurrency is the twin comparison: one worker workload sliced
 	// as a recorded multi-thread interleaving and as its serialized
@@ -118,10 +117,9 @@ type output struct {
 	Concurrency *bench.ConcComparison `json:"concurrency"`
 }
 
-// portfolioRecord embeds the win-table comparison and nests the batch
-// run next to it.
+// portfolioRecord holds the batch run at the `portfolio.batch` path
+// benchdiff and farm's planted-regression self-test read.
 type portfolioRecord struct {
-	bench.PortfolioComparison
 	Batch *bench.BatchComparison `json:"batch"`
 }
 
@@ -245,18 +243,14 @@ func main() {
 		}
 	}
 
-	// Portfolio and batch comparisons over the same guard-chain length
-	// as the early-stop benchmark, sampled every 12th assume so the
-	// corpus stays call-heavy (~26 queries of growing shared prefix).
-	pc, err := bench.BestPortfolioComparison(*guards, 12, *sweepReps)
-	if err != nil {
-		fatal(err)
-	}
+	// Batch comparison over the same guard-chain length as the
+	// early-stop benchmark, sampled every 12th assume so the corpus
+	// stays call-heavy (~26 queries of growing shared prefix).
 	bc, err := bench.BestBatchComparison(*guards, 12, *sweepReps)
 	if err != nil {
 		fatal(err)
 	}
-	o.Portfolio = &portfolioRecord{PortfolioComparison: *pc, Batch: bc}
+	o.Portfolio = &portfolioRecord{Batch: bc}
 
 	o.Concurrency, err = bench.CompareConcTwin(bench.DefaultConcTwinConfig(), *sweepReps)
 	if err != nil {
@@ -288,11 +282,8 @@ func main() {
 	if o.Oracle != nil {
 		fmt.Printf("  %s\n", o.Oracle.Summary())
 	}
-	pf := o.Portfolio
-	fmt.Printf("  portfolio: %d queries, wins icp/inc/scratch %d/%d/%d, %.1fms vs incremental-only %.1fms, %d divergences\n",
-		pf.Queries, pf.WinsICP, pf.WinsIncremental, pf.WinsScratch, pf.PortfolioMS, pf.IncrementalMS, pf.Divergences)
 	fmt.Printf("  batch: serial %.1fms -> batched %.1fms (%.1fx), %d divergences\n",
-		pf.Batch.SerialMS, pf.Batch.BatchedMS, pf.Batch.Ratio, pf.Batch.Divergences)
+		bc.SerialMS, bc.BatchedMS, bc.Ratio, bc.Divergences)
 	cc := o.Concurrency
 	fmt.Printf("  concurrency: %d threads, %d racy edges, walked %d vs serialized %d (%.2fx)\n",
 		cc.Threads, cc.RacyEdges, cc.ThreadedWalked, cc.SerialWalked, cc.WalkRatio)

@@ -6,8 +6,8 @@
 //
 //	blastlite [-noslice] [-summaries] [-trace-file f] [-dfs]
 //	          [-file-property] [-maxwork n] [-workers n]
-//	          [-portfolio] [-portfolio-batch] [-deadline d]
-//	          [-fault-* ...] [-trace-out f] [-metrics-addr a] [-v] file.mc
+//	          [-deadline d] [-fault-* ...] [-trace-out f]
+//	          [-metrics-addr a] [-v] file.mc
 //
 // With -file-property the program may call the fopen/fclose/fgets/
 // fprintf/fputs intrinsics; it is instrumented for the file-handling
@@ -62,8 +62,6 @@ func main() {
 	lockProp := flag.Bool("lock-property", false, "instrument and check the lock discipline property")
 	maxWork := flag.Int("maxwork", 0, "work budget per check (0 = default)")
 	workers := flag.Int("workers", 1, "CEGAR solver workers: parallel per-predicate entailment queries in the abstract post")
-	portfolio := flag.Bool("portfolio", false, "race solver strategies per entailment query (incremental vs stateless vs interval prefilter; docs/PERFORMANCE.md)")
-	portfolioBatch := flag.Bool("portfolio-batch", false, "batch the abstract post's independent entailment queries into grouped incremental solver calls")
 	noCache := flag.Bool("nocache", false, "disable the solver result cache and abstract-post memoization")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace event log to this file (\"-\" for stderr) and print the per-phase table")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :8080)")
@@ -96,12 +94,10 @@ func main() {
 		DFS:                *dfs,
 		MaxWork:            *maxWork,
 		SolverWorkers:      *workers,
-		Portfolio:          *portfolio,
-		PortfolioBatch:     *portfolioBatch,
 		DisableSolverCache: *noCache,
 		DisablePostMemo:    *noCache,
 		Deadline:           *deadline,
-		SlicerOpts:         core.Options{Summaries: *summaries, Portfolio: *portfolio},
+		SlicerOpts:         core.Options{Summaries: *summaries},
 	}
 
 	var totals checkTotals

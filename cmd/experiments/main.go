@@ -61,8 +61,6 @@ func main() {
 	traces := flag.Int("traces", 313, "number of gcc counterexamples for Figure 6 (paper: 313)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel cluster checks")
 	solverWorkers := flag.Int("solver-workers", 1, "parallel per-predicate solver queries inside each abstract post")
-	portfolio := flag.Bool("portfolio", false, "race solver strategies per entailment query (docs/PERFORMANCE.md)")
-	portfolioBatch := flag.Bool("portfolio-batch", false, "batch each abstract post's entailment queries into grouped incremental solver calls")
 	noCache := flag.Bool("nocache", false, "disable the solver result cache and abstract-post memoization")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace event log to this file (\"-\" for stderr) and print the per-phase table")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :8080)")
@@ -99,8 +97,6 @@ func main() {
 				UseSlicing:         true,
 				MaxWork:            60000,
 				SolverWorkers:      *solverWorkers,
-				Portfolio:          *portfolio,
-				PortfolioBatch:     *portfolioBatch,
 				DisableSolverCache: *noCache,
 				DisablePostMemo:    *noCache,
 				Deadline:           *deadline,
@@ -152,7 +148,6 @@ func main() {
 		p := synth.MuhProfile(*scale)
 		row, err := bench.RunBenchmarkParallel(p, cegar.Options{
 			UseSlicing: true, MaxWork: 60000, Deadline: *deadline,
-			Portfolio: *portfolio, PortfolioBatch: *portfolioBatch,
 		}, *workers)
 		if err != nil {
 			fatal(err)
@@ -172,11 +167,9 @@ func main() {
 		// how many finish.
 		p := synth.GccProfile(*gccScale)
 		row, err := bench.RunBenchmarkParallel(p, cegar.Options{
-			UseSlicing:     true,
-			MaxWork:        55000, // tight: the gcc regime overwhelms roughly half the checks
-			Deadline:       *deadline,
-			Portfolio:      *portfolio,
-			PortfolioBatch: *portfolioBatch,
+			UseSlicing: true,
+			MaxWork:    55000, // tight: the gcc regime overwhelms roughly half the checks
+			Deadline:   *deadline,
 		}, *workers)
 		if err != nil {
 			fatal(err)

@@ -1,10 +1,9 @@
 // Command farm is the time-budgeted verification farm: one command
 // that keeps hammering the solver pipeline for as long as you give it
-// — the differential/metamorphic oracle campaign with the portfolio
-// front-end on, both native fuzz targets, and the benchmark suite,
-// with every fresh BENCH_PR10.json gated by benchdiff against the
-// checked-in baseline. `make farm` runs it; `make check` includes a
-// short burst (FARMTIME=60s).
+// — the differential/metamorphic oracle campaign, both native fuzz
+// targets, and the benchmark suite, with every fresh BENCH_PR10.json
+// gated by benchdiff against the checked-in baseline. `make farm`
+// runs it; `make check` includes a short burst (FARMTIME=60s).
 //
 // Usage:
 //
@@ -14,8 +13,8 @@
 // Phases per iteration (each bounded by the remaining budget):
 //
 //  1. Oracle: a fresh campaign (seed = iteration number, so every
-//     iteration explores new programs) with Portfolio on — any
-//     Theorem-1 violation fails the farm.
+//     iteration explores new programs) — any Theorem-1 violation
+//     fails the farm.
 //  2. Fuzz: FuzzParse and FuzzLinearize for -fuzztime each (the
 //     threaded-syntax and PSTRC02 fuzzers stay on `make fuzz`).
 //  3. Bench: when at least -bench-min budget remains, cmd/benchjson
@@ -112,9 +111,9 @@ func main() {
 	fmt.Printf("farm: ok — %d iteration(s) green\n", iter)
 }
 
-// oraclePhase runs one campaign with the portfolio front-end on. The
-// seed advances with the iteration so a long farm run explores fresh
-// programs instead of re-verifying the first campaign forever.
+// oraclePhase runs one campaign. The seed advances with the iteration
+// so a long farm run explores fresh programs instead of re-verifying
+// the first campaign forever.
 func oraclePhase(iter, seeds int, remaining time.Duration) error {
 	ceiling := 30 * time.Second
 	if remaining > 0 && remaining < ceiling {
@@ -124,7 +123,6 @@ func oraclePhase(iter, seeds int, remaining time.Duration) error {
 		Seeds:     seeds,
 		Budget:    ceiling,
 		Seed:      int64(iter),
-		Portfolio: true,
 		CorpusDir: "testdata/oracle",
 	})
 	if len(stats.Violations) > 0 {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	pathslice [-long] [-unroll k] [-early] [-skipfns] [-summaries]
-//	          [-portfolio] [-portfolio-batch] [-trace-file f [-stream]]
+//	          [-portfolio-batch] [-trace-file f [-stream]]
 //	          [-conc-trace f] [-deadline d] [-fault-* ...]
 //	          [-trace-out f] [-metrics-addr a] [-v] file.mc
 //
@@ -67,7 +67,6 @@ func main() {
 	early := flag.Bool("early", false, "enable the early-unsat-stop optimization (§4.2)")
 	skip := flag.Bool("skipfns", false, "enable the function-skipping optimization (§4.2; loses completeness)")
 	summaries := flag.Bool("summaries", false, "memoize context-keyed callee frame summaries (gcc-scale traces; docs/PERFORMANCE.md)")
-	portfolio := flag.Bool("portfolio", false, "race solver strategies per feasibility query (incremental vs stateless vs interval prefilter; docs/PERFORMANCE.md)")
 	portfolioBatch := flag.Bool("portfolio-batch", false, "defer feasibility verdicts and decide all targets in one batched solver call (shared trace prefixes asserted once)")
 	traceFile := flag.String("trace-file", "", "record each candidate path to this binary trace file (.N suffix per extra target)")
 	concTrace := flag.String("conc-trace", "", "slice a recorded multi-threaded PSTRC02 trace of file.mc (docs/CONCURRENCY.md) instead of searching for a path")
@@ -116,7 +115,6 @@ func main() {
 		SkipFunctions:  *skip,
 		Summaries:      *summaries,
 		RecordTrace:    *trace,
-		Portfolio:      *portfolio,
 	})
 	feasible, undecided := 0, 0
 	if *concTrace != "" {

@@ -76,7 +76,6 @@ func run() int {
 	maxPrograms := flag.Int("max-programs", 64, "program-state LRU capacity (compiled CFAs, summaries, checker memos)")
 	cacheSize := flag.Int("cache-size", 0, "shared solver verdict cache capacity (0 = default)")
 	solverWorkers := flag.Int("solver-workers", 4, "upper clamp on per-request solver_workers")
-	portfolio := flag.Bool("portfolio", true, "default for requests that omit \"portfolio\": race solver strategies per query (docs/PERFORMANCE.md)")
 	internKeep := flag.Int("intern-keep", 4, "interner GC retention window in epochs")
 	gcEvery := flag.Duration("gc-every", time.Minute, "interner GC epoch cadence (0 disables the loop)")
 	maxSourceBytes := flag.Int64("max-source-bytes", 1<<20, "maximum uploaded program size in bytes")
@@ -121,7 +120,6 @@ func run() int {
 		MaxPrograms:      *maxPrograms,
 		SolverCacheSize:  *cacheSize,
 		MaxSolverWorkers: *solverWorkers,
-		DisablePortfolio: !*portfolio,
 		InternKeepEpochs: *internKeep,
 		GCInterval:       *gcEvery,
 		SnapshotPath:     *snapshotPath,

@@ -151,18 +151,6 @@ type Options struct {
 	// refinement counts, and Work are identical to the sequential run:
 	// only wall-clock time changes.
 	SolverWorkers int
-	// Portfolio routes every entailment query through the smt portfolio
-	// front-end (incremental vs stateless vs interval-prefilter racing;
-	// docs/PERFORMANCE.md). Verdicts are unchanged — every strategy is
-	// individually sound — and cached results land under the same
-	// canonical keys.
-	Portfolio bool
-	// PortfolioBatch solves the abstract post's independent entailment
-	// queries as one batched solver call per round instead of one
-	// SolveCtx per query: the shared precondition prefix is asserted
-	// once per support group on an incremental solver (smt.SolveBatchCtx).
-	// Valuations, Work, and cache accounting match the serial run.
-	PortfolioBatch bool
 	// DisableSolverCache turns off the formula-level solver result
 	// cache (identical formulas are then re-solved every time).
 	DisableSolverCache bool
@@ -323,24 +311,7 @@ func (c *Checker) solve(ctx context.Context, f logic.Formula) smt.Result {
 	if c.cache == nil {
 		c.uncachedCalls.Add(1)
 	}
-	if c.opts.Portfolio {
-		return smt.CachedSolvePortfolioCtx(ctx, c.cache, f, c.opts.SolverLimits)
-	}
 	return smt.CachedSolveCtx(ctx, c.cache, f, c.opts.SolverLimits)
-}
-
-// solveBatch is the batched analogue of solve: one smt.SolveBatchCtx
-// call deciding every formula, with the same cache routing and the same
-// uncached-call accounting (one solver call per query).
-func (c *Checker) solveBatch(ctx context.Context, fs []logic.Formula) []smt.Result {
-	if c.cache == nil {
-		c.uncachedCalls.Add(int64(len(fs)))
-	}
-	return smt.SolveBatchCtx(ctx, fs, smt.BatchOptions{
-		Workers: c.opts.SolverWorkers,
-		Cache:   c.cache,
-		Lim:     c.opts.SolverLimits,
-	})
 }
 
 // cacheStats snapshots the checker's solver-cache counters (zero when
@@ -865,70 +836,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 		}
 	}
 	mSolverQueueDepth.SetMax(int64(len(need)))
-	if c.opts.PortfolioBatch && len(need) > 1 {
-		// Batched post: build every entailment pair first (same panic
-		// containment and WorkerPanic fault draw per predicate as the
-		// serial path — a crashed build leaves that predicate unknown),
-		// then decide each round in one batched solver call. All pairs
-		// share the precondition, so the batch solver asserts it once
-		// per support group instead of once per query. Round 2 only
-		// re-asks the predicates round 1 left undecided, mirroring the
-		// serial short-circuit.
-		type entailPair struct {
-			idx        int
-			notP, impP logic.Formula
-		}
-		var pairs []entailPair
-		for _, i := range need {
-			func(i int) {
-				defer func() {
-					if r := recover(); r != nil {
-						mRecoveredPanics.Inc()
-						vals[i] = 0
-					}
-				}()
-				if faults.Should(faults.WorkerPanic) {
-					panic("faults: injected worker panic")
-				}
-				fresh := (i + 1) * freshStride
-				p := preds[i]
-				wpP := wp.WPOp(p, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
-				wpNotP := wp.WPOp(logic.MkNot(p), e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
-				pre := cur
-				if e.Op.Kind == cfa.OpAssume {
-					predF, side := assumeFormula(e.Op, c.slicer, &fresh)
-					pre = logic.MkAnd(append(side, cur, predF)...)
-				}
-				pairs = append(pairs, entailPair{idx: i,
-					notP: logic.MkAnd(pre, wpNotP), impP: logic.MkAnd(pre, wpP)})
-			}(i)
-		}
-		fs := make([]logic.Formula, len(pairs))
-		for j, pr := range pairs {
-			fs[j] = pr.notP
-		}
-		var undecided []entailPair
-		for j, r := range c.solveBatch(ctx, fs) {
-			if r.Status == smt.StatusUnsat {
-				vals[pairs[j].idx] = 1 // every post-state satisfies p
-			} else {
-				undecided = append(undecided, pairs[j])
-			}
-		}
-		if len(undecided) > 0 {
-			fs = make([]logic.Formula, len(undecided))
-			for j, pr := range undecided {
-				fs[j] = pr.impP
-			}
-			for j, r := range c.solveBatch(ctx, fs) {
-				if r.Status == smt.StatusUnsat {
-					vals[undecided[j].idx] = -1
-				} else {
-					vals[undecided[j].idx] = 0
-				}
-			}
-		}
-	} else if nw := c.opts.SolverWorkers; nw > 1 && len(need) > 1 {
+	if nw := c.opts.SolverWorkers; nw > 1 && len(need) > 1 {
 		if nw > len(need) {
 			nw = len(need)
 		}

@@ -573,8 +573,5 @@ func (s *Slicer) CheckConcFeasibility(tr cfa.ConcTrace) (smt.Result, *wp.TraceEn
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(tr.Ops())
-	if s.Opts.Portfolio {
-		return smt.SolvePortfolioCtx(context.Background(), f, s.Opts.SolverLimits), enc
-	}
 	return smt.SolveCtx(context.Background(), f, s.Opts.SolverLimits), enc
 }

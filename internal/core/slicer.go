@@ -105,11 +105,6 @@ type Options struct {
 	// the paper's Figures 1(C) and 2(B). Costs a live-set copy per
 	// edge; leave off in production runs.
 	RecordTrace bool
-	// Portfolio routes feasibility checks through the smt portfolio
-	// front-end (incremental vs stateless vs interval prefilter racing
-	// per query; docs/PERFORMANCE.md) instead of the stateless solver
-	// alone. Verdicts are bit-identical — only latency changes.
-	Portfolio bool
 	// Unsound deliberately weakens one Take rule (test-only). The
 	// oracle suite flips these modes on to prove it would catch a real
 	// soundness or completeness regression in the slicer; production
@@ -968,9 +963,6 @@ func (s *Slicer) CheckFeasibilityCtx(ctx context.Context, p cfa.Path) (smt.Resul
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(p.Ops())
-	if s.Opts.Portfolio {
-		return smt.SolvePortfolioCtx(ctx, f, s.Opts.SolverLimits), enc
-	}
 	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
 }
 

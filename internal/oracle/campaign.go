@@ -53,13 +53,6 @@ type Config struct {
 	// CallHeavy biases generated specs toward deep, repeated call
 	// chains (CallHeavySpec), the regime the summaries target.
 	CallHeavy bool
-	// Portfolio runs every slicer feasibility check and CEGAR
-	// entailment through the smt portfolio front-end (strategy racing;
-	// docs/PERFORMANCE.md), re-proving the Theorem-1 contract under
-	// concurrent solving. The cross-check reference solver stays
-	// stateless either way, so a racing-induced wrong verdict would
-	// surface as a violation.
-	Portfolio bool
 	// CorpusDir, when set, loads regression specs from
 	// <CorpusDir>/seeds.txt ahead of the starter corpus.
 	CorpusDir string
@@ -200,8 +193,8 @@ func runSpec(spec SeedSpec, cfg Config, stats *Stats, fingerprints map[string]bo
 	}
 
 	slicerOpts := []core.Options{
-		{Unsound: cfg.Unsound, Portfolio: cfg.Portfolio},
-		{EarlyUnsatStop: true, CheckEvery: 1, Unsound: cfg.Unsound, Portfolio: cfg.Portfolio},
+		{Unsound: cfg.Unsound},
+		{EarlyUnsatStop: true, CheckEvery: 1, Unsound: cfg.Unsound},
 	}
 	copts := cfg.Check
 	copts.ReachCheck = true
@@ -400,9 +393,7 @@ func checkCegarPair(prog *cfa.Program, spec string, cfg Config, stats *Stats) {
 	}
 	opts := cegar.Options{
 		UseSlicing:     true,
-		SlicerOpts:     core.Options{Unsound: cfg.Unsound, Portfolio: cfg.Portfolio},
-		Portfolio:      cfg.Portfolio,
-		PortfolioBatch: cfg.Portfolio,
+		SlicerOpts:     core.Options{Unsound: cfg.Unsound},
 		MaxRefinements: 12,
 		MaxWork:        4000,
 		Deadline:       2 * time.Second,

@@ -33,13 +33,6 @@ type SliceRequest struct {
 	// means on — the warm summ.Table is the point of a resident
 	// service. Set false to force plain walks.
 	Summaries *bool `json:"summaries,omitempty"`
-	// Portfolio races solver strategies per feasibility query
-	// (incremental vs stateless vs interval prefilter; first sound
-	// answer wins — docs/PERFORMANCE.md). Omitted or null means the
-	// server default (-portfolio, on unless disabled); set false to
-	// force the stateless solver alone. Verdicts are identical either
-	// way.
-	Portfolio *bool `json:"portfolio,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time in milliseconds.
 	// 0 means the server default; values above the server maximum are
 	// clamped. Expiry degrades — larger sound slice, unknown
@@ -133,10 +126,6 @@ type CheckRequest struct {
 	// SolverWorkers parallelizes per-predicate entailment queries,
 	// capped by the server's -solver-workers flag.
 	SolverWorkers int `json:"solver_workers,omitempty"`
-	// Portfolio races solver strategies per entailment query (see
-	// SliceRequest.Portfolio). Omitted or null means the server
-	// default; verdicts are identical either way.
-	Portfolio *bool `json:"portfolio,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time in milliseconds
 	// (0 = server default; clamped to the server maximum). Expiry
 	// yields "timeout" verdicts — never a wrong one.

@@ -294,8 +294,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	summaries := req.Summaries == nil || *req.Summaries
-	portfolio := s.portfolioOn(req.Portfolio)
-	sl := ps.slicer(slicerKey{Early: req.EarlyUnsatStop, Skip: req.SkipFunctions, Summaries: summaries, Portfolio: portfolio})
+	sl := ps.slicer(slicerKey{Early: req.EarlyUnsatStop, Skip: req.SkipFunctions, Summaries: summaries})
 
 	cacheBefore := s.cache.Stats()
 	resp := SliceResponse{RequestID: reqID(w), ProgramFingerprint: fingerprintHex(ps.fp)}
@@ -377,15 +376,7 @@ func (s *Server) sliceTarget(ctx context.Context, sl *core.Slicer, target string
 		// The feasibility solve goes through the shared verdict cache:
 		// a repeat of a known slice costs a lookup. Cache hits carry no
 		// model, so Witness is only present on fresh feasible solves.
-		// With portfolio on (the slicer's option), the miss path races
-		// the solver strategies; results land under the same keys.
-		f := sl.TraceFormula(res.Slice)
-		var fr smt.Result
-		if sl.Opts.Portfolio {
-			fr = smt.CachedSolvePortfolioCtx(ctx, s.cache, f, sl.Opts.SolverLimits)
-		} else {
-			fr = smt.CachedSolveCtx(ctx, s.cache, f, sl.Opts.SolverLimits)
-		}
+		fr := smt.CachedSolveCtx(ctx, s.cache, sl.TraceFormula(res.Slice), sl.Opts.SolverLimits)
 		switch fr.Status {
 		case smt.StatusSat:
 			t.Feasibility = "feasible"
@@ -572,18 +563,17 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		workers = s.cfg.MaxSolverWorkers
 	}
 	key := checkerKey{
-		Slicing:   req.UseSlicing == nil || *req.UseSlicing,
-		DFS:       req.DFS,
-		Portfolio: s.portfolioOn(req.Portfolio),
-		Workers:   workers,
-		MaxRefs:   req.MaxRefinements,
-		MaxWork:   req.MaxWork,
-		MaxPreds:  req.MaxPreds,
+		Slicing:  req.UseSlicing == nil || *req.UseSlicing,
+		DFS:      req.DFS,
+		Workers:  workers,
+		MaxRefs:  req.MaxRefinements,
+		MaxWork:  req.MaxWork,
+		MaxPreds: req.MaxPreds,
 	}
 	// The checker's counterexample slicer runs with frame summaries on:
 	// with warm memo sharing across checks this is now the default
 	// configuration (ROADMAP: gcc-scale item).
-	box := ps.checker(key, s.cache, core.Options{Summaries: true, Portfolio: key.Portfolio})
+	box := ps.checker(key, s.cache, core.Options{Summaries: true})
 
 	resp := CheckResponse{RequestID: reqID(w), ProgramFingerprint: fingerprintHex(ps.fp)}
 	resp.Reuse.ProgramCacheHit = progHit

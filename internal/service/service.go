@@ -98,12 +98,6 @@ type Config struct {
 	// MaxSolverWorkers caps the per-request solver_workers setting
 	// (default 4).
 	MaxSolverWorkers int
-	// DisablePortfolio turns portfolio solving off for requests that do
-	// not set "portfolio" themselves. The zero value keeps the default
-	// of the tentpole: feasibility and entailment queries race the
-	// solver strategies (docs/PERFORMANCE.md) unless a request (or the
-	// operator via -portfolio=false) opts out.
-	DisablePortfolio bool
 	// InternKeepEpochs is the interner GC retention window: entries
 	// unused for this many epochs are collected (default 4).
 	InternKeepEpochs int
@@ -346,16 +340,6 @@ func (s *Server) release() {
 	mInflight.Add(-1)
 }
 
-// portfolioOn resolves a request's tri-state "portfolio" field against
-// the server default: explicit request value wins, omitted/null means
-// on unless the operator disabled it (Config.DisablePortfolio).
-func (s *Server) portfolioOn(req *bool) bool {
-	if req != nil {
-		return *req
-	}
-	return !s.cfg.DisablePortfolio
-}
-
 // ---------------------------------------------------------------------------
 // Program-state cache
 
@@ -377,12 +361,10 @@ type programState struct {
 
 type slicerKey struct {
 	Early, Skip, Summaries bool
-	Portfolio              bool
 }
 
 type checkerKey struct {
 	Slicing, DFS bool
-	Portfolio    bool
 	Workers      int
 	MaxRefs      int
 	MaxWork      int
@@ -466,7 +448,6 @@ func (ps *programState) slicer(k slicerKey) *core.Slicer {
 		EarlyUnsatStop: k.Early,
 		SkipFunctions:  k.Skip,
 		Summaries:      k.Summaries,
-		Portfolio:      k.Portfolio,
 	})
 	ps.slicers[k] = sl
 	return sl
@@ -484,7 +465,6 @@ func (ps *programState) checker(k checkerKey, cache *smt.Cache, slicerOpts core.
 	box := &checkerBox{c: cegar.New(ps.prog, cegar.Options{
 		UseSlicing:     k.Slicing,
 		DFS:            k.DFS,
-		Portfolio:      k.Portfolio,
 		SolverWorkers:  k.Workers,
 		MaxRefinements: k.MaxRefs,
 		MaxWork:        k.MaxWork,

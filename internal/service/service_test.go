@@ -214,62 +214,6 @@ func TestWarmReuse(t *testing.T) {
 	}
 }
 
-// TestPortfolioOption: the per-request portfolio field is tri-state —
-// omitted means the server default (on), and forcing it either way
-// changes routing, never verdicts. Warm-reuse counters must keep
-// firing with the portfolio on, and a portfolio-populated solver
-// cache must serve the non-portfolio route (same canonical keys).
-func TestPortfolioOption(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	on, off := true, false
-
-	for _, src := range []string{srcBug, srcSafe, srcLoop} {
-		def := postSlice(t, ts, SliceRequest{Source: src, Long: true})
-		won := postSlice(t, ts, SliceRequest{Source: src, Long: true, Portfolio: &on})
-		woff := postSlice(t, ts, SliceRequest{Source: src, Long: true, Portfolio: &off})
-		if won.Verdict != def.Verdict || woff.Verdict != def.Verdict {
-			t.Fatalf("portfolio option changed a slice verdict: default %q, on %q, off %q",
-				def.Verdict, won.Verdict, woff.Verdict)
-		}
-	}
-
-	// Warm reuse with the portfolio explicitly on: resident program,
-	// and solver verdicts answered from the shared cache.
-	warm := postSlice(t, ts, SliceRequest{Source: srcLoop, Long: true, Portfolio: &on})
-	if !warm.Reuse.ProgramCacheHit {
-		t.Fatal("warm portfolio slice must hit the program cache")
-	}
-	if warm.Reuse.SolverCacheHits == 0 {
-		t.Fatal("warm portfolio slice must hit the shared solver cache")
-	}
-	// The cache those hits came from was populated through the
-	// portfolio route; the stateless route must read it unchanged.
-	offWarm := postSlice(t, ts, SliceRequest{Source: srcLoop, Long: true, Portfolio: &off})
-	if offWarm.Reuse.SolverCacheHits == 0 {
-		t.Fatal("portfolio-populated solver cache did not serve the stateless route")
-	}
-
-	conOn := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &on})
-	conOff := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &off})
-	if conOn.Verdict != conOff.Verdict {
-		t.Fatalf("portfolio option changed a check verdict: on %q, off %q", conOn.Verdict, conOff.Verdict)
-	}
-	warmCheck := postCheck(t, ts, CheckRequest{Source: srcSafe, Portfolio: &on})
-	if !warmCheck.Reuse.ProgramCacheHit || warmCheck.Reuse.PostMemoHits == 0 {
-		t.Fatal("warm portfolio check must reuse the program cache and post memo")
-	}
-
-	// A server started with the portfolio disabled answers identically.
-	_, tsOff := newTestServer(t, Config{DisablePortfolio: true})
-	for _, src := range []string{srcBug, srcSafe} {
-		a := postSlice(t, ts, SliceRequest{Source: src, Long: true})
-		b := postSlice(t, tsOff, SliceRequest{Source: src, Long: true})
-		if a.Verdict != b.Verdict {
-			t.Fatalf("DisablePortfolio changed a verdict for %q: %q vs %q", src[:20], a.Verdict, b.Verdict)
-		}
-	}
-}
-
 // TestOverloadShed: with every session slot taken, requests are shed
 // with the typed 503 — verdict "undecided", exit code 4, degraded —
 // and served normally once a slot frees up.
@@ -457,6 +401,7 @@ func TestBadInputs(t *testing.T) {
 		errKind string
 	}{
 		{"unknown field", `{"source": "void main() { skip; }", "bogus": 1}`, http.StatusBadRequest, "bad_request"},
+		{"removed portfolio field", `{"source": "void main() { error; }", "portfolio": true}`, http.StatusBadRequest, "bad_request"},
 		{"empty source", `{}`, http.StatusBadRequest, "bad_request"},
 		{"parse error", `{"source": "void main( {"}`, http.StatusUnprocessableEntity, "invalid_program"},
 		{"no targets", `{"source": "void main() { skip; }"}`, http.StatusUnprocessableEntity, "invalid_program"},

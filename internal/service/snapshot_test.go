@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -145,6 +147,96 @@ func TestSnapshotRoundTripWarmsEverything(t *testing.T) {
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 			t.Fatalf("restored server diverged from cold server:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// legacySnapFile is the snapshot payload as written by binaries that
+// still had the solver portfolio: identical to snapFile except that
+// each table's slicerKey carried a Portfolio field. gob matches struct
+// fields by name and skips ones the decoder's type lacks, so the
+// current reader must accept these files unchanged.
+type legacySnapFile struct {
+	Version  int
+	SavedAt  int64
+	Programs []legacySnapProgram
+	Verdicts []snapVerdict
+}
+
+type legacySnapProgram struct {
+	Key         string
+	Fingerprint uint64
+	Source      string
+	Tables      []legacySnapTable
+}
+
+type legacySnapTable struct {
+	Opts legacySlicerKey
+	Sums []snapSummary
+}
+
+type legacySlicerKey struct {
+	Early, Skip, Summaries bool
+	Portfolio              bool
+}
+
+// TestSnapshotRestoresLegacySlicerKey: a snapshot whose summary tables
+// are keyed by the legacy slicerKey (Portfolio on, the old slicerd
+// default) restores every summary and verdict with zero dropped
+// records, so removing the field needed no snapVersion bump.
+func TestSnapshotRestoresLegacySlicerKey(t *testing.T) {
+	warm := newSnapServer(t, Config{})
+	warmUp(t, warm)
+	cur := warm.s.collectSnapshot()
+
+	old := legacySnapFile{Version: cur.Version, SavedAt: cur.SavedAt, Verdicts: cur.Verdicts}
+	summaries := 0
+	for _, sp := range cur.Programs {
+		op := legacySnapProgram{Key: sp.Key, Fingerprint: sp.Fingerprint, Source: sp.Source}
+		for _, st := range sp.Tables {
+			k := st.Opts
+			op.Tables = append(op.Tables, legacySnapTable{
+				Opts: legacySlicerKey{Early: k.Early, Skip: k.Skip, Summaries: k.Summaries, Portfolio: true},
+				Sums: st.Sums,
+			})
+			summaries += len(st.Sums)
+		}
+		old.Programs = append(old.Programs, op)
+	}
+	if summaries == 0 || len(old.Verdicts) == 0 {
+		t.Fatalf("warm-up left nothing to restore: %d summaries, %d verdicts", summaries, len(old.Verdicts))
+	}
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "legacy.snap")
+	if err := os.WriteFile(snap, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := newSnapServer(t, Config{SnapshotPath: snap})
+	st := restored.s.Stats().Snapshot
+	if st == nil {
+		t.Fatal("restored server reports no snapshot stats")
+	}
+	if st.DroppedRecords != 0 {
+		t.Fatalf("legacy-layout snapshot dropped %d records", st.DroppedRecords)
+	}
+	if st.RestoredPrograms != int64(len(old.Programs)) || st.RestoredSummaries != int64(summaries) ||
+		st.RestoredVerdicts != int64(len(old.Verdicts)) {
+		t.Fatalf("restored %d programs, %d summaries, %d verdicts; want %d, %d, %d",
+			st.RestoredPrograms, st.RestoredSummaries, st.RestoredVerdicts,
+			len(old.Programs), summaries, len(old.Verdicts))
+	}
+	req := SliceRequest{Source: srcCalls, Long: true, IncludeSlice: true}
+	first := postSlice(t, restored.ts, req)
+	if first.Reuse.SummaryHits == 0 || first.Reuse.SolverCacheHits == 0 {
+		t.Fatalf("first request after restore reused %d summaries and %d verdicts, want both > 0",
+			first.Reuse.SummaryHits, first.Reuse.SolverCacheHits)
+	}
+	if got, want := keyOf(first), keyOf(postSlice(t, warm.ts, req)); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("restored server diverged from the server that wrote the snapshot:\n got %+v\nwant %+v", got, want)
 	}
 }
 

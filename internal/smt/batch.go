@@ -65,7 +65,7 @@ func SolveBatchCtx(ctx context.Context, fs []logic.Formula, opt BatchOptions) []
 
 	var pending []*batchQuery
 	for i, f := range fs {
-		mPortfolioBatch.Inc()
+		mBatchQueries.Inc()
 		if opt.Cache != nil {
 			key := logic.Key(f)
 			// Keep the serial path's fault surface: one CacheEvict draw
@@ -90,7 +90,7 @@ func SolveBatchCtx(ctx context.Context, fs []logic.Formula, opt BatchOptions) []
 	}
 
 	groups := groupBySupport(pending)
-	mPortfolioBatchGroups.Add(int64(len(groups)))
+	mBatchGroups.Add(int64(len(groups)))
 
 	solveGroup := func(g []*batchQuery) {
 		// Order for prefix adjacency: queries whose conjunct sequences
@@ -110,7 +110,7 @@ func SolveBatchCtx(ctx context.Context, fs []logic.Formula, opt BatchOptions) []
 				s.Pop()
 				trail = trail[:len(trail)-1]
 			}
-			mPortfolioBatchReused.Add(int64(lcp))
+			mBatchReused.Add(int64(lcp))
 			for _, cj := range q.conj[lcp:] {
 				s.Push()
 				s.Assert(cj)

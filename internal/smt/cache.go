@@ -92,25 +92,12 @@ func (c *Cache) SolveWithLimits(f logic.Formula, lim Limits) Result {
 }
 
 // SolveCtx decides f under ctx and explicit limits, consulting and
-// populating the cache. A cancelled or deadline-expired solve returns
-// StatusUnknown and is never stored, so a timeout can never poison the
-// cache with a wrong verdict.
+// populating the cache: canonical-key lookup, the CacheEvict fault
+// draw, one decision-procedure run on miss, and a
+// definitive-verdicts-only store. A cancelled or deadline-expired
+// solve returns StatusUnknown and is never stored, so a timeout can
+// never poison the cache with a wrong verdict.
 func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
-	return c.solveVia(ctx, f, lim, SolveCtx)
-}
-
-// SolvePortfolioCtx is SolveCtx with the portfolio front-end as the
-// decision procedure: same canonical keys, same lookup and store path,
-// so a portfolio-populated cache is interchangeable with a
-// SolveCtx-populated one.
-func (c *Cache) SolvePortfolioCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
-	return c.solveVia(ctx, f, lim, SolvePortfolioCtx)
-}
-
-// solveVia is the shared cache path: canonical-key lookup, the
-// CacheEvict fault draw, one decision-procedure run on miss, and a
-// definitive-verdicts-only store.
-func (c *Cache) solveVia(ctx context.Context, f logic.Formula, lim Limits, solve func(context.Context, logic.Formula, Limits) Result) Result {
 	key := logic.Key(f)
 	// Fault injection (docs/ROBUSTNESS.md): drop the entry before the
 	// lookup, forcing a re-solve through the concurrent-eviction path.
@@ -122,7 +109,7 @@ func (c *Cache) solveVia(ctx context.Context, f logic.Formula, lim Limits, solve
 	if st, ok := c.peek(key); ok {
 		return Result{Status: st}
 	}
-	r := solve(ctx, f, lim)
+	r := SolveCtx(ctx, f, lim)
 	if r.Status != StatusUnknown {
 		c.store(key, r.Status)
 	}
@@ -272,14 +259,4 @@ func CachedSolveCtx(ctx context.Context, c *Cache, f logic.Formula, lim Limits) 
 		return SolveCtx(ctx, f, lim)
 	}
 	return c.SolveCtx(ctx, f, lim)
-}
-
-// CachedSolvePortfolioCtx is CachedSolveCtx with the portfolio
-// front-end as the decision procedure; a nil cache falls back to
-// SolvePortfolioCtx directly.
-func CachedSolvePortfolioCtx(ctx context.Context, c *Cache, f logic.Formula, lim Limits) Result {
-	if c == nil {
-		return SolvePortfolioCtx(ctx, f, lim)
-	}
-	return c.SolvePortfolioCtx(ctx, f, lim)
 }

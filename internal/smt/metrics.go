@@ -35,22 +35,14 @@ var (
 	mWarmStartHits     = obs.Default().Counter("smt_warm_start_hits_total")
 	mWarmStartRebuilds = obs.Default().Counter("smt_warm_start_rebuilds_total")
 
-	// Portfolio metrics (portfolio.go, batch.go). Wins are counted per
-	// winning strategy; cancelled counts losing strategies whose answer
-	// arrived after the race was decided (the ICP prefilter runs
-	// synchronously before the race and is therefore never cancelled).
-	mPortfolioWins                 = obs.Default().Counter("smt_portfolio_wins_total")
-	mPortfolioWinsIncremental      = obs.Default().Counter("smt_portfolio_wins_incremental_total")
-	mPortfolioWinsScratch          = obs.Default().Counter("smt_portfolio_wins_scratch_total")
-	mPortfolioWinsICP              = obs.Default().Counter("smt_portfolio_wins_icp_total")
-	mPortfolioCancelled            = obs.Default().Counter("smt_portfolio_cancelled_total")
-	mPortfolioCancelledIncremental = obs.Default().Counter("smt_portfolio_cancelled_incremental_total")
-	mPortfolioCancelledScratch     = obs.Default().Counter("smt_portfolio_cancelled_scratch_total")
-	// mPortfolioBatch counts queries decided through SolveBatchCtx;
-	// groups counts support-disjoint groups formed; reused counts
-	// asserted conjuncts answered from a shared prefix already on the
-	// group solver's trail (the batch-mode analogue of warm reuse).
-	mPortfolioBatch       = obs.Default().Counter("smt_portfolio_batch_total")
-	mPortfolioBatchGroups = obs.Default().Counter("smt_portfolio_batch_groups_total")
-	mPortfolioBatchReused = obs.Default().Counter("smt_portfolio_batch_reused_total")
+	// Batch metrics (batch.go). mBatchQueries counts queries decided
+	// through SolveBatchCtx; groups counts support-disjoint groups
+	// formed; reused counts asserted conjuncts answered from a shared
+	// prefix already on the group solver's trail (the batch-mode
+	// analogue of warm reuse). The series keep their
+	// smt_portfolio_batch_* names so they line up with the
+	// solver_counters of the committed BENCH_PR*.json artifacts.
+	mBatchQueries = obs.Default().Counter("smt_portfolio_batch_total")
+	mBatchGroups  = obs.Default().Counter("smt_portfolio_batch_groups_total")
+	mBatchReused  = obs.Default().Counter("smt_portfolio_batch_reused_total")
 )

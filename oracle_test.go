@@ -44,26 +44,6 @@ func TestOracleCampaign(t *testing.T) {
 	t.Log(stats.Summary())
 }
 
-// TestOracleCampaignPortfolio re-proves the Theorem-1 contract with
-// every slicer feasibility check and CEGAR entailment routed through
-// the smt portfolio front-end (strategy racing + batched entailments).
-// The campaign's cross-check references stay stateless, so a verdict
-// produced by a cancelled-too-late or misraced strategy would surface
-// here as a violation.
-func TestOracleCampaignPortfolio(t *testing.T) {
-	cfg := oracleConfig()
-	cfg.Seeds = 80
-	cfg.Portfolio = true
-	stats := oracle.Run(cfg)
-	for _, v := range stats.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if stats.Pairs < 200 {
-		t.Errorf("campaign produced only %d pairs, want >= 200", stats.Pairs)
-	}
-	t.Log(stats.Summary())
-}
-
 // TestOracleCatchesPlantedBugs proves the gate has teeth: each
 // deliberately unsound Take-rule mode must produce at least one
 // violation inside the default campaign budget.
