@@ -1,9 +1,9 @@
 # Tier-1 gate: everything a PR must keep green. `make check` is the
 # canonical pre-merge command (build, vet, full tests, the race
 # detector over the packages that share state across goroutines —
-# the CEGAR worker pool, the solver cache, the dataflow query
-# caches behind a shared Slicer, and the obs metrics/trace layer —
-# and the docs checker).
+# the solver cache shared by parallel CEGAR checks and slicerd
+# sessions, the dataflow query caches behind a shared Slicer, and
+# the obs metrics/trace layer — and the docs checker).
 
 GO ?= go
 

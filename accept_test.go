@@ -58,11 +58,10 @@ func TestSolverCacheReducesCallsFiveFold(t *testing.T) {
 	}
 }
 
-// TestParallelBenchmarkDeterminism asserts the satellite requirement:
-// parallel abstract post (SolverWorkers > 1) and parallel cluster
-// checking yield identical verdicts, refinement counts, work, and
-// per-counterexample slice statistics to a fully sequential run on the
-// same fixed synth profile.
+// TestParallelBenchmarkDeterminism asserts that parallel cluster
+// checking yields identical verdicts, refinement counts, work, and
+// per-counterexample slice statistics to a sequential run on the same
+// fixed synth profile.
 func TestParallelBenchmarkDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table-1-class run")
@@ -72,9 +71,7 @@ func TestParallelBenchmarkDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := bench.RunBenchmarkParallel(p, cegar.Options{
-		UseSlicing: true, MaxWork: acceptMaxWork, SolverWorkers: 4,
-	}, 4)
+	par, err := bench.RunBenchmarkParallel(p, cegar.Options{UseSlicing: true, MaxWork: acceptMaxWork}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

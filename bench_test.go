@@ -211,7 +211,6 @@ func BenchmarkAblation_EarlyStop(b *testing.B) {
 	}{
 		{"off", core.Options{}},
 		{"on", core.Options{EarlyUnsatStop: true}},
-		{"on-every-4", core.Options{EarlyUnsatStop: true, CheckEvery: 4}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			slicer := core.NewWithOptions(prog, cfg.opts)
@@ -303,28 +302,24 @@ func BenchmarkAblation_WrBtCache(b *testing.B) {
 
 // BenchmarkAblation_SolverCache compares end-to-end Table-1-class
 // checking with the solver result cache and abstract-post memo enabled
-// (the default) against both disabled, and with the per-predicate
-// parallel post on top. Verdicts and work counts are identical in every
-// configuration; only the number of real decision-procedure runs — and
-// hence the wall clock — changes.
+// (the default) against both disabled. Verdicts and work counts are
+// identical in both configurations; only the number of real
+// decision-procedure runs — and hence the wall clock — changes.
 func BenchmarkAblation_SolverCache(b *testing.B) {
 	p := synth.PaperProfiles(0.2)[3] // privoxy-class, same as accept_test.go
 	for _, cfg := range []struct {
-		name    string
-		opts    cegar.Options
-		workers int
+		name string
+		opts cegar.Options
 	}{
-		{"cache+memo", cegar.Options{UseSlicing: true, MaxWork: 30000}, 1},
+		{"cache+memo", cegar.Options{UseSlicing: true, MaxWork: 30000}},
 		{"no-cache", cegar.Options{UseSlicing: true, MaxWork: 30000,
-			DisableSolverCache: true, DisablePostMemo: true}, 1},
-		{"cache+memo+4workers", cegar.Options{UseSlicing: true, MaxWork: 30000,
-			SolverWorkers: 4}, 4},
+			DisableSolverCache: true, DisablePostMemo: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var calls int64
 			for i := 0; i < b.N; i++ {
-				res, err := bench.RunBenchmarkParallel(p, cfg.opts, cfg.workers)
+				res, err := bench.RunBenchmark(p, cfg.opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,7 @@
 // (bench.CallHeavySource): deep call chains invoked repeatedly from a
 // loop, the trace shape on which the frame summaries of internal/summ
 // pay off. -chains, -depth, and -bodyops shape it; feed the output to
-// `pathslice -long -summaries -trace-file t.pstrc -stream` to
+// `pathslice -long -trace-file t.pstrc -stream` to
 // reproduce the BENCH_PR6.json regime by hand.
 //
 // With -threads it emits the concurrency twin pair

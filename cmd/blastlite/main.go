@@ -4,10 +4,13 @@
 //
 // Usage:
 //
-//	blastlite [-noslice] [-summaries] [-trace-file f] [-dfs]
-//	          [-file-property] [-maxwork n] [-workers n]
-//	          [-deadline d] [-fault-* ...] [-trace-out f]
-//	          [-metrics-addr a] [-v] file.mc
+//	blastlite [-noslice] [-trace-file f] [-dfs] [-file-property]
+//	          [-lock-property] [-maxwork n] [-deadline d]
+//	          [-fault-* ...] [-trace-out f] [-metrics-addr a]
+//	          [-solver-stats] [-v] file.mc
+//
+// The counterexample slicer memoizes context-keyed frame summaries
+// (docs/PERFORMANCE.md); its slices are bit-identical to plain walks.
 //
 // With -file-property the program may call the fopen/fclose/fgets/
 // fprintf/fputs intrinsics; it is instrumented for the file-handling
@@ -55,14 +58,11 @@ const (
 
 func main() {
 	noslice := flag.Bool("noslice", false, "disable path slicing (raw counterexample analysis)")
-	summaries := flag.Bool("summaries", false, "memoize context-keyed frame summaries in the counterexample slicer (docs/PERFORMANCE.md)")
 	traceFile := flag.String("trace-file", "", "record each feasible witness path to this binary trace file (.N suffix per extra witness)")
 	dfs := flag.Bool("dfs", false, "depth-first abstract search (long counterexamples)")
 	fileProp := flag.Bool("file-property", false, "instrument and check the file-handling property")
 	lockProp := flag.Bool("lock-property", false, "instrument and check the lock discipline property")
 	maxWork := flag.Int("maxwork", 0, "work budget per check (0 = default)")
-	workers := flag.Int("workers", 1, "CEGAR solver workers: parallel per-predicate entailment queries in the abstract post")
-	noCache := flag.Bool("nocache", false, "disable the solver result cache and abstract-post memoization")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace event log to this file (\"-\" for stderr) and print the per-phase table")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :8080)")
 	solverStats := flag.Bool("solver-stats", false, "print the smt_* counter table (incremental reuse, warm starts, cache) to stderr on exit")
@@ -90,14 +90,11 @@ func main() {
 		fatal(err)
 	}
 	opts := cegar.Options{
-		UseSlicing:         !*noslice,
-		DFS:                *dfs,
-		MaxWork:            *maxWork,
-		SolverWorkers:      *workers,
-		DisableSolverCache: *noCache,
-		DisablePostMemo:    *noCache,
-		Deadline:           *deadline,
-		SlicerOpts:         core.Options{Summaries: *summaries},
+		UseSlicing: !*noslice,
+		DFS:        *dfs,
+		MaxWork:    *maxWork,
+		Deadline:   *deadline,
+		SlicerOpts: core.Options{Summaries: true},
 	}
 
 	var totals checkTotals

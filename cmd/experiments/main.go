@@ -60,8 +60,6 @@ func main() {
 	gccScale := flag.Float64("gccscale", 0.25, "workload scale for the gcc-class subject")
 	traces := flag.Int("traces", 313, "number of gcc counterexamples for Figure 6 (paper: 313)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel cluster checks")
-	solverWorkers := flag.Int("solver-workers", 1, "parallel per-predicate solver queries inside each abstract post")
-	noCache := flag.Bool("nocache", false, "disable the solver result cache and abstract-post memoization")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace event log to this file (\"-\" for stderr) and print the per-phase table")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :8080)")
 	solverStats := flag.Bool("solver-stats", false, "print the smt_* counter table (incremental reuse, warm starts, cache) to stderr on exit")
@@ -94,12 +92,7 @@ func main() {
 		fmt.Printf("running Table 1 checks at scale %.2f ...\n", *scale)
 		for _, p := range synth.PaperProfiles(*scale) {
 			row, err := bench.RunBenchmarkParallel(p, cegar.Options{
-				UseSlicing:         true,
-				MaxWork:            60000,
-				SolverWorkers:      *solverWorkers,
-				DisableSolverCache: *noCache,
-				DisablePostMemo:    *noCache,
-				Deadline:           *deadline,
+				UseSlicing: true, MaxWork: 60000, Deadline: *deadline,
 			}, *workers)
 			if err != nil {
 				fatal(err)

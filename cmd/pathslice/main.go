@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pathslice [-long] [-unroll k] [-early] [-skipfns] [-summaries]
+//	pathslice [-long] [-unroll k] [-early] [-skipfns]
 //	          [-portfolio-batch] [-trace-file f [-stream]]
 //	          [-conc-trace f] [-deadline d] [-fault-* ...]
 //	          [-trace-out f] [-metrics-addr a] [-v] file.mc
@@ -21,11 +21,12 @@
 // slice and an UNKNOWN feasibility verdict; -fault-* installs the
 // deterministic fault injector.
 //
-// Scaling (docs/PERFORMANCE.md): -summaries memoizes context-keyed
-// callee frame summaries so repeated calls cost a table lookup;
-// -trace-file records the candidate path in the binary PSTRC format,
-// and -stream slices it straight from that file with only a bounded
-// window of frames resident.
+// Scaling (docs/PERFORMANCE.md): the slicer memoizes context-keyed
+// callee frame summaries so repeated calls cost a table lookup, and
+// prints their hit/miss line per target (not under -trace, which
+// examines every edge for real); -trace-file records the candidate
+// path in the binary PSTRC format, and -stream slices it straight from
+// that file with only a bounded window of frames resident.
 //
 // Exit codes: 0 every analyzed slice infeasible, 1 internal error,
 // 2 usage, 3 a feasible slice was found, 4 some verdict was
@@ -66,7 +67,6 @@ func main() {
 	unroll := flag.Int("unroll", 3, "loop unrolling bound for -long")
 	early := flag.Bool("early", false, "enable the early-unsat-stop optimization (§4.2)")
 	skip := flag.Bool("skipfns", false, "enable the function-skipping optimization (§4.2; loses completeness)")
-	summaries := flag.Bool("summaries", false, "memoize context-keyed callee frame summaries (gcc-scale traces; docs/PERFORMANCE.md)")
 	portfolioBatch := flag.Bool("portfolio-batch", false, "defer feasibility verdicts and decide all targets in one batched solver call (shared trace prefixes asserted once)")
 	traceFile := flag.String("trace-file", "", "record each candidate path to this binary trace file (.N suffix per extra target)")
 	concTrace := flag.String("conc-trace", "", "slice a recorded multi-threaded PSTRC02 trace of file.mc (docs/CONCURRENCY.md) instead of searching for a path")
@@ -113,7 +113,7 @@ func main() {
 	slicer := core.NewWithOptions(prog, core.Options{
 		EarlyUnsatStop: *early,
 		SkipFunctions:  *skip,
-		Summaries:      *summaries,
+		Summaries:      true,
 		RecordTrace:    *trace,
 	})
 	feasible, undecided := 0, 0

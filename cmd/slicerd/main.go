@@ -9,7 +9,7 @@
 //
 //	slicerd [-addr a] [-admin-addr a] [-max-inflight n]
 //	        [-default-deadline d] [-max-deadline d] [-max-programs n]
-//	        [-cache-size n] [-solver-workers n] [-intern-keep n]
+//	        [-cache-size n] [-intern-keep n]
 //	        [-gc-every d] [-max-source-bytes n] [-max-body-bytes n]
 //	        [-drain-timeout d] [-snapshot-path f] [-snapshot-every d]
 //	        [-tls-cert f -tls-key f] [-auth-token t]
@@ -75,7 +75,6 @@ func run() int {
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "upper clamp on requested deadlines")
 	maxPrograms := flag.Int("max-programs", 64, "program-state LRU capacity (compiled CFAs, summaries, checker memos)")
 	cacheSize := flag.Int("cache-size", 0, "shared solver verdict cache capacity (0 = default)")
-	solverWorkers := flag.Int("solver-workers", 4, "upper clamp on per-request solver_workers")
 	internKeep := flag.Int("intern-keep", 4, "interner GC retention window in epochs")
 	gcEvery := flag.Duration("gc-every", time.Minute, "interner GC epoch cadence (0 disables the loop)")
 	maxSourceBytes := flag.Int64("max-source-bytes", 1<<20, "maximum uploaded program size in bytes")
@@ -119,7 +118,6 @@ func run() int {
 		MaxBodyBytes:     *maxBodyBytes,
 		MaxPrograms:      *maxPrograms,
 		SolverCacheSize:  *cacheSize,
-		MaxSolverWorkers: *solverWorkers,
 		InternKeepEpochs: *internKeep,
 		GCInterval:       *gcEvery,
 		SnapshotPath:     *snapshotPath,

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,33 @@ func TestCLIsEndToEnd(t *testing.T) {
 		out := runExit(t, 0, tools["pathslice"], "-long", "-unroll", "2", "-early", "testdata/safe.mc")
 		if !strings.Contains(out, "INFEASIBLE") {
 			t.Errorf("safe.mc candidate must be infeasible:\n%s", out)
+		}
+	})
+
+	t.Run("pathslice-summaries-by-default", func(t *testing.T) {
+		// With no flags the slicer memoizes frame summaries and reports
+		// the table's traffic per target: each walked callee frame is
+		// recorded (a miss) on this straight-line call sequence.
+		src := filepath.Join(t.TempDir(), "calls.mc")
+		prog := `int x;
+int y;
+void bump() { x = x + 1; }
+void step() { y = y + x; }
+void main() {
+  x = nondet();
+  bump();
+  step();
+  bump();
+  step();
+  if (x > 100) { error; }
+}
+`
+		if err := os.WriteFile(src, []byte(prog), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := runExit(t, 3, tools["pathslice"], src)
+		if !regexp.MustCompile(`summaries: \d+ hits, [1-9]\d* misses`).MatchString(out) {
+			t.Errorf("default run must print a summaries line with recorded frames:\n%s", out)
 		}
 	})
 

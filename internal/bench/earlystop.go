@@ -56,7 +56,7 @@ func GuardChainSetup(guards int) (*cfa.Program, cfa.Path, error) {
 // optimization (checking after every taken assume) and returns the
 // slicer result; the caller asserts KnownInfeasible.
 func EarlyStopIncremental(prog *cfa.Program, path cfa.Path) (*core.Result, error) {
-	slicer := core.NewWithOptions(prog, core.Options{EarlyUnsatStop: true, CheckEvery: 1})
+	slicer := core.NewWithOptions(prog, core.Options{EarlyUnsatStop: true})
 	return slicer.Slice(path)
 }
 

@@ -20,8 +20,8 @@
 // "check" span, every refinement round a "cegar-iteration" span (with
 // predicate counts and counterexample/slice sizes as attributes), and
 // the registry accumulates cegar_* counters — solver calls, abstract
-// posts, post-memo hits, states explored, and the solver-worker queue
-// high-water mark. See docs/OBSERVABILITY.md for the catalogue.
+// posts, post-memo hits, states explored, and the most entailments one
+// abstract post computed. See docs/OBSERVABILITY.md for the catalogue.
 package cegar
 
 import (
@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pathslice/internal/cfa"
@@ -48,18 +46,19 @@ import (
 // Totals accumulate across every Checker in the process; per-check
 // attribution stays on Result.
 var (
-	mChecks           = obs.Default().Counter("cegar_checks_total")
-	mRefinements      = obs.Default().Counter("cegar_refinements_total")
-	mSolverCalls      = obs.Default().Counter("cegar_solver_calls_total")
-	mPostMemoHits     = obs.Default().Counter("cegar_post_memo_hits_total")
-	mAbstractPosts    = obs.Default().Counter("cegar_abstract_posts_total")
-	mStatesExplored   = obs.Default().Counter("cegar_states_explored_total")
-	mPredicates       = obs.Default().Gauge("cegar_predicates")
-	mSolverQueueDepth = obs.Default().Gauge("cegar_solver_queue_depth_max")
+	mChecks         = obs.Default().Counter("cegar_checks_total")
+	mRefinements    = obs.Default().Counter("cegar_refinements_total")
+	mSolverCalls    = obs.Default().Counter("cegar_solver_calls_total")
+	mPostMemoHits   = obs.Default().Counter("cegar_post_memo_hits_total")
+	mAbstractPosts  = obs.Default().Counter("cegar_abstract_posts_total")
+	mStatesExplored = obs.Default().Counter("cegar_states_explored_total")
+	mPredicates     = obs.Default().Gauge("cegar_predicates")
+	mPostEntailsMax = obs.Default().Gauge("cegar_solver_queue_depth_max")
 
 	// mRecoveredPanics is the process-wide recovered-panic counter
 	// shared with internal/core (same registry name → same handle). It
-	// counts panics contained at the worker-pool and Check boundaries.
+	// counts panics contained per entailment task and at the Check
+	// boundary.
 	mRecoveredPanics = obs.Default().Counter("recovered_panics_total")
 )
 
@@ -120,9 +119,6 @@ type Options struct {
 	// solver queries — emulating the paper's wall-clock timeout
 	// deterministically (default 200000).
 	MaxWork int
-	// MaxTraceLen aborts counterexamples longer than this (default
-	// 200000 edges).
-	MaxTraceLen int
 	// DFS makes the reachability search depth-first, which produces the
 	// long counterexamples the paper observes with BLAST (§5,
 	// Limitations); otherwise breadth-first.
@@ -145,26 +141,17 @@ type Options struct {
 	// is read within an activation, so stale cross-activation facts are
 	// never needed.
 	NoLocalize bool
-	// SolverWorkers fans the independent per-predicate entailment pairs
-	// of the abstract post out over this many goroutines (values <= 1
-	// keep the post sequential). The computed valuations, verdicts,
-	// refinement counts, and Work are identical to the sequential run:
-	// only wall-clock time changes.
-	SolverWorkers int
 	// DisableSolverCache turns off the formula-level solver result
 	// cache (identical formulas are then re-solved every time).
 	DisableSolverCache bool
 	// DisablePostMemo turns off abstract-post memoization (every
 	// (edge, valuation) successor is then recomputed from scratch).
 	DisablePostMemo bool
-	// SolverCacheSize bounds the solver cache entries (default
-	// smt.DefaultCacheSize).
-	SolverCacheSize int
 	// SharedCache, when non-nil, replaces the checker's private solver
 	// cache with a caller-owned one, letting many checkers (and the
 	// slice-feasibility path) share one long-lived verdict store.
 	// Cached verdicts are pure facts about formulas, so sharing across
-	// programs is sound. Overrides DisableSolverCache/SolverCacheSize.
+	// programs is sound. Overrides DisableSolverCache.
 	// Per-check CacheHits/CacheMisses attribution assumes the cache is
 	// not used concurrently by others during the check.
 	SharedCache *smt.Cache
@@ -193,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxWork <= 0 {
 		o.MaxWork = 200000
-	}
-	if o.MaxTraceLen <= 0 {
-		o.MaxTraceLen = 200000
 	}
 	if o.MaxPreds <= 0 {
 		o.MaxPreds = 60
@@ -278,7 +262,7 @@ type Checker struct {
 
 	// uncachedCalls counts smt.Solve invocations when the cache is
 	// disabled (with the cache on, its miss counter plays this role).
-	uncachedCalls atomic.Int64
+	uncachedCalls int64
 	memoHits      int64
 }
 
@@ -294,7 +278,7 @@ func New(prog *cfa.Program, opts Options) *Checker {
 	if opts.SharedCache != nil {
 		c.cache = opts.SharedCache
 	} else if !opts.DisableSolverCache {
-		c.cache = smt.NewCache(opts.SolverCacheSize)
+		c.cache = smt.NewCache(smt.DefaultCacheSize)
 	}
 	return c
 }
@@ -309,7 +293,7 @@ const maxPostMemoEntries = 1 << 17
 // limit-exhausted query answers StatusUnknown — never a wrong verdict.
 func (c *Checker) solve(ctx context.Context, f logic.Formula) smt.Result {
 	if c.cache == nil {
-		c.uncachedCalls.Add(1)
+		c.uncachedCalls++
 	}
 	return smt.CachedSolveCtx(ctx, c.cache, f, c.opts.SolverLimits)
 }
@@ -368,14 +352,14 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 	if c.postMemo == nil || len(c.postMemo) > maxPostMemoEntries {
 		c.postMemo = make(map[string]*postMemoEntry)
 	}
-	startUncached := c.uncachedCalls.Load()
+	startUncached := c.uncachedCalls
 	startCache := c.cacheStats()
 	startMemo := c.memoHits
 	defer func() {
 		cs := c.cacheStats()
 		res.CacheHits = cs.Hits - startCache.Hits
 		res.CacheMisses = cs.Misses - startCache.Misses
-		res.SolverCalls = res.CacheMisses + c.uncachedCalls.Load() - startUncached
+		res.SolverCalls = res.CacheMisses + c.uncachedCalls - startUncached
 		res.PostMemoHits = c.memoHits - startMemo
 		mChecks.Inc()
 		mRefinements.Add(int64(res.Refinements))
@@ -611,13 +595,6 @@ func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []logic.Form
 	}
 	sp := obs.StartSpan(obs.PhaseReach)
 	defer sp.End()
-	// Warm the predicate-scope table sequentially so the parallel post
-	// workers only ever read it.
-	if !c.opts.NoLocalize {
-		for _, p := range preds {
-			c.scopeOf(p)
-		}
-	}
 	work := 0
 	main := c.prog.Funcs[c.prog.Main]
 	root := &absState{loc: main.Entry, vals: make([]int8, len(preds))}
@@ -681,7 +658,7 @@ type postMemoEntry struct {
 
 // freshStride separates the fresh-variable namespaces of the per-
 // predicate WP computations so each predicate's formulas are identical
-// regardless of the order (or concurrency) in which they are built.
+// regardless of which other predicates the memo already answered.
 // A single WPOp mints at most a handful of fresh variables per havoc
 // or nondet read, far below the stride.
 const freshStride = 4096
@@ -779,39 +756,17 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 	// New valuation via WP entailment per predicate. Localization:
 	// predicates scoped to functions not on the successor's stack stay
 	// unknown and cost no solver queries. Predicates already covered by
-	// the memo keep their cached value; the rest fan out over the
-	// worker pool.
-	vals := make([]int8, len(preds))
-	var need []int
-	var predKeys []string
-	if memo != nil {
-		predKeys = make([]string, len(preds))
-	}
-	for i, p := range preds {
-		if !c.opts.NoLocalize && !c.predInScope(p, e.Dst, st.stack) {
-			vals[i] = 0
-			continue
-		}
-		work += 2
-		if memo != nil {
-			predKeys[i] = p.String()
-			if v, ok := memo.vals[predKeys[i]]; ok {
-				vals[i] = v
-				continue // memoized
-			}
-		}
-		need = append(need, i)
-	}
-	compute := func(i int) {
+	// the memo keep their cached value; the rest are computed here.
+	entail := func(i int) (v int8) {
 		// Contain panics per task: a crashed entailment leaves the
 		// predicate unknown (0), which only weakens the abstraction —
-		// sound — instead of taking the whole worker pool (and with it
-		// the enclosing Check) down. WorkerPanic faults exercise
-		// exactly this path (docs/ROBUSTNESS.md).
+		// sound — instead of taking the enclosing Check down.
+		// WorkerPanic faults exercise exactly this path
+		// (docs/ROBUSTNESS.md).
 		defer func() {
 			if r := recover(); r != nil {
 				mRecoveredPanics.Inc()
-				vals[i] = 0
+				v = 0
 			}
 		}()
 		if faults.Should(faults.WorkerPanic) {
@@ -828,53 +783,41 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 		}
 		switch {
 		case c.solve(ctx, logic.MkAnd(pre, wpNotP)).Status == smt.StatusUnsat:
-			vals[i] = 1 // every post-state satisfies p
+			return 1 // every post-state satisfies p
 		case c.solve(ctx, logic.MkAnd(pre, wpP)).Status == smt.StatusUnsat:
-			vals[i] = -1
-		default:
-			vals[i] = 0
+			return -1
+		}
+		return 0
+	}
+	vals := make([]int8, len(preds))
+	computed := 0
+	for i, p := range preds {
+		if !c.opts.NoLocalize && !c.predInScope(p, e.Dst, st.stack) {
+			continue // unknown
+		}
+		work += 2
+		var key string
+		if memo != nil {
+			key = p.String()
+			if v, ok := memo.vals[key]; ok {
+				vals[i] = v
+				continue // memoized
+			}
+		}
+		vals[i] = entail(i)
+		computed++
+		if memo != nil {
+			memo.vals[key] = vals[i]
 		}
 	}
-	mSolverQueueDepth.SetMax(int64(len(need)))
-	if nw := c.opts.SolverWorkers; nw > 1 && len(need) > 1 {
-		if nw > len(need) {
-			nw = len(need)
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					compute(i)
-				}
-			}()
-		}
-		for _, i := range need {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for _, i := range need {
-			compute(i)
-		}
-	}
-	if memo != nil {
-		for _, i := range need {
-			memo.vals[predKeys[i]] = vals[i]
-		}
-	}
+	mPostEntailsMax.SetMax(int64(computed))
 	succ := &absState{loc: e.Dst, vals: vals, parent: st, via: e,
 		stack: st.stack}
 	return succ, work
 }
 
 // scopeOf returns (computing and caching on first use) the functions
-// whose locals predicate p mentions. It must be called from a single
-// goroutine; reach warms the table before any parallel post runs, so
-// predInScope only ever reads it.
+// whose locals predicate p mentions.
 func (c *Checker) scopeOf(p logic.Formula) []string {
 	key := p.String()
 	fns, ok := c.predScope[key]

@@ -76,13 +76,9 @@ type Options struct {
 	// satisfiable again. The solver is genuinely incremental: each
 	// check pays only for the operations asserted since the last one
 	// (warm-started simplex, persistent interval facts — see
-	// docs/PERFORMANCE.md), so checking after every assume
-	// (CheckEvery=1) costs O(delta) per check rather than re-solving
-	// the whole growing prefix.
+	// docs/PERFORMANCE.md), so the check after every taken assume
+	// costs O(delta) rather than re-solving the whole growing prefix.
 	EarlyUnsatStop bool
-	// CheckEvery controls how many taken assume edges elapse between
-	// satisfiability checks when EarlyUnsatStop is set (default 1).
-	CheckEvery int
 	// SkipFunctions enables the §4.2 "skipping functions" optimization:
 	// when an edge is not taken and no live lvalue can be written
 	// between the enclosing function's entry and the edge, the rest of
@@ -276,9 +272,6 @@ func NewWithOptions(prog *cfa.Program, opts Options) *Slicer {
 	al := alias.Analyze(prog)
 	mr := modref.Analyze(prog, al)
 	df := dataflow.Analyze(prog, al, mr)
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = 1
-	}
 	s := &Slicer{
 		Prog:  prog,
 		Alias: al,
@@ -368,9 +361,8 @@ type walker struct {
 	i      int
 
 	// Early-unsat-stop state (Options.EarlyUnsatStop).
-	enc               *wp.TraceEncoder
-	solver            *smt.Solver
-	assumesSinceCheck int
+	enc    *wp.TraceEncoder
+	solver *smt.Solver
 
 	// Active frame-summary recordings, outermost first (innermost at
 	// the end; frames nest). segIDs is the segment-key scratch buffer.
@@ -615,15 +607,10 @@ func (w *walker) takeLive(op cfa.Op) {
 	}
 }
 
-// earlyCheck runs the early-unsat-stop satisfiability check at the
-// configured cadence; true means the prefix is unsatisfiable and the
-// walk must stop.
+// earlyCheck runs the early-unsat-stop satisfiability check after a
+// taken assume; true means the prefix is unsatisfiable and the walk
+// must stop.
 func (w *walker) earlyCheck(ctx context.Context) bool {
-	w.assumesSinceCheck++
-	if w.assumesSinceCheck < w.s.Opts.CheckEvery {
-		return false
-	}
-	w.assumesSinceCheck = 0
 	w.res.Stats.SolverChecks++
 	// An Unknown verdict here (limit, deadline, or injected fault)
 	// simply means no early stop: slicing continues and the slice can

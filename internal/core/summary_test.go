@@ -111,8 +111,8 @@ func TestSummariesBitIdentical(t *testing.T) {
 	optSets := []core.Options{
 		{},
 		{SkipFunctions: true},
-		{EarlyUnsatStop: true, CheckEvery: 1},
-		{EarlyUnsatStop: true, CheckEvery: 3, SkipFunctions: true},
+		{EarlyUnsatStop: true},
+		{EarlyUnsatStop: true, SkipFunctions: true},
 	}
 	for name, src := range srcs {
 		prog := compile.MustSource(src)

@@ -43,8 +43,9 @@ const (
 	// before lookup, forcing a re-solve and exercising concurrent
 	// eviction paths.
 	CacheEvict
-	// WorkerPanic panics inside a CEGAR solver-worker task; the pool
-	// must recover it and degrade the predicate valuation to unknown.
+	// WorkerPanic panics inside a CEGAR per-predicate entailment task;
+	// the task must recover it and degrade the predicate valuation to
+	// unknown.
 	WorkerPanic
 
 	// The wire kinds below are consumed by Proxy (proxy.go), the

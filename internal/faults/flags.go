@@ -16,7 +16,7 @@ func FlagConfig(fs *flag.FlagSet) func() *Config {
 	stall := fs.Float64("fault-stall", 0, "fault injection: rate in [0,1] of solver queries that stall")
 	stallFor := fs.Duration("fault-stall-for", 50*time.Millisecond, "fault injection: duration of an injected solver stall")
 	evict := fs.Float64("fault-evict", 0, "fault injection: rate in [0,1] of cache lookups whose entry is evicted first")
-	wpanic := fs.Float64("fault-panic", 0, "fault injection: rate in [0,1] of solver-worker tasks that panic")
+	wpanic := fs.Float64("fault-panic", 0, "fault injection: rate in [0,1] of CEGAR per-predicate entailment tasks that panic")
 	return func() *Config {
 		if *unknown == 0 && *stall == 0 && *evict == 0 && *wpanic == 0 {
 			return nil

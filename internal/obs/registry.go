@@ -171,7 +171,7 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // SetMax raises the gauge to v if v is larger (a high-water mark,
-// e.g. the deepest solver-worker queue seen).
+// e.g. the most entailments one abstract post computed).
 func (g *Gauge) SetMax(v int64) {
 	if g == nil || !g.on.Load() {
 		return

@@ -194,7 +194,7 @@ func runSpec(spec SeedSpec, cfg Config, stats *Stats, fingerprints map[string]bo
 
 	slicerOpts := []core.Options{
 		{Unsound: cfg.Unsound},
-		{EarlyUnsatStop: true, CheckEvery: 1, Unsound: cfg.Unsound},
+		{EarlyUnsatStop: true, Unsound: cfg.Unsound},
 	}
 	copts := cfg.Check
 	copts.ReachCheck = true

@@ -109,7 +109,7 @@ func TestCheckTraceEarlyStopDifferential(t *testing.T) {
 				if (a < 3) { error; }
 			}
 		}`)
-	rep := checkClean(t, prog, path, core.Options{EarlyUnsatStop: true, CheckEvery: 1})
+	rep := checkClean(t, prog, path, core.Options{EarlyUnsatStop: true})
 	if rep.Res == nil || !rep.Res.KnownInfeasible {
 		t.Fatal("early-stop should prove this slice infeasible")
 	}

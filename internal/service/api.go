@@ -29,10 +29,6 @@ type SliceRequest struct {
 	// SkipFunctions enables the §4.2 function-skipping optimization
 	// (sound, loses completeness).
 	SkipFunctions bool `json:"skip_functions,omitempty"`
-	// Summaries enables context-keyed frame summaries; omitted or null
-	// means on — the warm summ.Table is the point of a resident
-	// service. Set false to force plain walks.
-	Summaries *bool `json:"summaries,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time in milliseconds.
 	// 0 means the server default; values above the server maximum are
 	// clamped. Expiry degrades — larger sound slice, unknown
@@ -123,9 +119,6 @@ type CheckRequest struct {
 	MaxRefinements int `json:"max_refinements,omitempty"`
 	MaxWork        int `json:"max_work,omitempty"`
 	MaxPreds       int `json:"max_preds,omitempty"`
-	// SolverWorkers parallelizes per-predicate entailment queries,
-	// capped by the server's -solver-workers flag.
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time in milliseconds
 	// (0 = server default; clamped to the server maximum). Expiry
 	// yields "timeout" verdicts — never a wrong one.

@@ -143,7 +143,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, h func(http.Res
 	if !s.authorize(w, r) {
 		return
 	}
-	if s.draining.Load() {
+	if !s.admit() {
 		// Draining is the same sound refusal as overload, under its own
 		// typed kind so clients know to retry against a different
 		// replica rather than the same one.
@@ -159,6 +159,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, h func(http.Res
 		})
 		return
 	}
+	defer s.sessions.Done()
 	if !s.tryAcquire() {
 		s.shed.Add(1)
 		mShed.Inc()
@@ -173,13 +174,6 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request, h func(http.Res
 		return
 	}
 	defer s.release()
-	// Registered after admission so Drain waits for admitted sessions
-	// only. A request that passed the draining check just as the flag
-	// flipped may slip past Drain's wait; cmd/slicerd's http.Server
-	// Shutdown (which tracks connections, not sessions) backstops that
-	// sliver.
-	s.sessions.Add(1)
-	defer s.sessions.Done()
 	s.requests.Add(1)
 	mRequests.Inc()
 	start := time.Now()
@@ -293,8 +287,7 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	summaries := req.Summaries == nil || *req.Summaries
-	sl := ps.slicer(slicerKey{Early: req.EarlyUnsatStop, Skip: req.SkipFunctions, Summaries: summaries})
+	sl := ps.slicer(slicerKey{Early: req.EarlyUnsatStop, Skip: req.SkipFunctions})
 
 	cacheBefore := s.cache.Stats()
 	resp := SliceResponse{RequestID: reqID(w), ProgramFingerprint: fingerprintHex(ps.fp)}
@@ -558,14 +551,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
 	defer cancel()
 
-	workers := req.SolverWorkers
-	if workers > s.cfg.MaxSolverWorkers {
-		workers = s.cfg.MaxSolverWorkers
-	}
 	key := checkerKey{
 		Slicing:  req.UseSlicing == nil || *req.UseSlicing,
 		DFS:      req.DFS,
-		Workers:  workers,
 		MaxRefs:  req.MaxRefinements,
 		MaxWork:  req.MaxWork,
 		MaxPreds: req.MaxPreds,

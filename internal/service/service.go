@@ -95,9 +95,6 @@ type Config struct {
 	// SolverCacheSize bounds the shared verdict cache (default
 	// smt.DefaultCacheSize).
 	SolverCacheSize int
-	// MaxSolverWorkers caps the per-request solver_workers setting
-	// (default 4).
-	MaxSolverWorkers int
 	// InternKeepEpochs is the interner GC retention window: entries
 	// unused for this many epochs are collected (default 4).
 	InternKeepEpochs int
@@ -136,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPrograms <= 0 {
 		c.MaxPrograms = 64
 	}
-	if c.MaxSolverWorkers <= 0 {
-		c.MaxSolverWorkers = 4
-	}
 	if c.InternKeepEpochs <= 0 {
 		c.InternKeepEpochs = 4
 	}
@@ -167,7 +161,9 @@ type Server struct {
 	// Drain state: draining flips once (no new admissions), sessions
 	// tracks in-flight work, and cancelling drainCtx force-degrades
 	// stragglers through the PR3 deadline contract — they answer
-	// soundly-degraded instead of being cut off mid-write.
+	// soundly-degraded instead of being cut off mid-write. drainMu
+	// orders the flip against admission (see admit).
+	drainMu     sync.Mutex
 	draining    atomic.Bool
 	sessions    sync.WaitGroup
 	drainCtx    context.Context
@@ -179,6 +175,7 @@ type Server struct {
 	internCollected atomic.Int64
 	reqSeq          atomic.Int64
 
+	saveMu                sync.Mutex // serializes SaveSnapshot
 	snapRestoredPrograms  atomic.Int64
 	snapRestoredSummaries atomic.Int64
 	snapRestoredVerdicts  atomic.Int64
@@ -246,9 +243,25 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // running; /v1/healthz flips to 503 "draining" so load balancers
 // route away. Idempotent.
 func (s *Server) StartDrain() {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
 	if s.draining.CompareAndSwap(false, true) {
 		mDraining.Set(1)
 	}
+}
+
+// admit registers a session with Drain's wait group unless the server
+// is draining. The check and the Add run under the mutex StartDrain
+// takes to flip the flag, so every Add happens before Drain's Wait
+// begins and none follows it.
+func (s *Server) admit() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.sessions.Add(1)
+	return true
 }
 
 // Drain performs the graceful-shutdown contract (docs/DEPLOYMENT.md):
@@ -359,13 +372,15 @@ type programState struct {
 	checkers map[checkerKey]*checkerBox
 }
 
+// slicerKey selects a slicer's §4.2 optimizations. Every slicer
+// memoizes frame summaries. Snapshots gob-encode this struct: older
+// files also carry Summaries (and Portfolio), which gob skips.
 type slicerKey struct {
-	Early, Skip, Summaries bool
+	Early, Skip bool
 }
 
 type checkerKey struct {
 	Slicing, DFS bool
-	Workers      int
 	MaxRefs      int
 	MaxWork      int
 	MaxPreds     int
@@ -447,7 +462,7 @@ func (ps *programState) slicer(k slicerKey) *core.Slicer {
 	sl := core.NewWithOptions(ps.prog, core.Options{
 		EarlyUnsatStop: k.Early,
 		SkipFunctions:  k.Skip,
-		Summaries:      k.Summaries,
+		Summaries:      true,
 	})
 	ps.slicers[k] = sl
 	return sl
@@ -465,7 +480,6 @@ func (ps *programState) checker(k checkerKey, cache *smt.Cache, slicerOpts core.
 	box := &checkerBox{c: cegar.New(ps.prog, cegar.Options{
 		UseSlicing:     k.Slicing,
 		DFS:            k.DFS,
-		SolverWorkers:  k.Workers,
 		MaxRefinements: k.MaxRefs,
 		MaxWork:        k.MaxWork,
 		MaxPreds:       k.MaxPreds,

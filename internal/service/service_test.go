@@ -396,22 +396,25 @@ func TestBadInputs(t *testing.T) {
 
 	cases := []struct {
 		name    string
+		path    string
 		body    string
 		status  int
 		errKind string
 	}{
-		{"unknown field", `{"source": "void main() { skip; }", "bogus": 1}`, http.StatusBadRequest, "bad_request"},
-		{"removed portfolio field", `{"source": "void main() { error; }", "portfolio": true}`, http.StatusBadRequest, "bad_request"},
-		{"empty source", `{}`, http.StatusBadRequest, "bad_request"},
-		{"parse error", `{"source": "void main( {"}`, http.StatusUnprocessableEntity, "invalid_program"},
-		{"no targets", `{"source": "void main() { skip; }"}`, http.StatusUnprocessableEntity, "invalid_program"},
-		{"bad base64", `{"source": "void main() { error; }", "trace_b64": "!!!"}`, http.StatusBadRequest, "bad_request"},
-		{"bad trace", `{"source": "void main() { error; }", "trace_b64": "AAAA"}`, http.StatusUnprocessableEntity, "invalid_trace"},
-		{"oversized source", fmt.Sprintf(`{"source": %q}`, strings.Repeat("int x;\n", 100)), http.StatusRequestEntityTooLarge, "too_large"},
+		{"unknown field", "/v1/slice", `{"source": "void main() { skip; }", "bogus": 1}`, http.StatusBadRequest, "bad_request"},
+		{"removed portfolio field", "/v1/slice", `{"source": "void main() { error; }", "portfolio": true}`, http.StatusBadRequest, "bad_request"},
+		{"removed summaries field", "/v1/slice", `{"source": "void main() { error; }", "summaries": false}`, http.StatusBadRequest, "bad_request"},
+		{"removed solver_workers field", "/v1/check", `{"source": "void main() { error; }", "solver_workers": 2}`, http.StatusBadRequest, "bad_request"},
+		{"empty source", "/v1/slice", `{}`, http.StatusBadRequest, "bad_request"},
+		{"parse error", "/v1/slice", `{"source": "void main( {"}`, http.StatusUnprocessableEntity, "invalid_program"},
+		{"no targets", "/v1/slice", `{"source": "void main() { skip; }"}`, http.StatusUnprocessableEntity, "invalid_program"},
+		{"bad base64", "/v1/slice", `{"source": "void main() { error; }", "trace_b64": "!!!"}`, http.StatusBadRequest, "bad_request"},
+		{"bad trace", "/v1/slice", `{"source": "void main() { error; }", "trace_b64": "AAAA"}`, http.StatusUnprocessableEntity, "invalid_trace"},
+		{"oversized source", "/v1/slice", fmt.Sprintf(`{"source": %q}`, strings.Repeat("int x;\n", 100)), http.StatusRequestEntityTooLarge, "too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/slice", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

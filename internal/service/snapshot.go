@@ -181,11 +181,15 @@ func verdictChecksum(key string, sat bool) uint64 {
 // atomically (write temp file, rename). Checkers' abstract-post memos
 // are deliberately not snapshotted: they key on in-memory predicate
 // identities that do not survive a process, and rebuilding them is
-// exactly what the restored solver cache accelerates.
+// exactly what the restored solver cache accelerates. Saves are
+// serialized: the periodic loop and a drain-time save share one temp
+// file, and the later save must land last.
 func (s *Server) SaveSnapshot(path string) error {
 	if path == "" {
 		return fmt.Errorf("service: no snapshot path configured")
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	f := s.collectSnapshot()
 	var buf bytes.Buffer
 	buf.WriteString(snapMagic)
@@ -355,15 +359,7 @@ func (s *Server) restoreProgram(sp *snapProgram) (int, bool) {
 
 	numEdges := prog.NumEdges()
 	for _, st := range sp.Tables {
-		if !st.Opts.Summaries {
-			s.dropRecords(int64(len(st.Sums)))
-			continue
-		}
 		sl := ps.slicer(st.Opts) // builds the analyses once, like a live miss
-		if sl.Summ == nil {
-			s.dropRecords(int64(len(st.Sums)))
-			continue
-		}
 		for i := range st.Sums {
 			rec := &st.Sums[i]
 			if summaryChecksum(&rec.S) != rec.Check || !edgeIDsValid(rec.S.EdgeIDs, numEdges) {

@@ -151,10 +151,11 @@ func TestSnapshotRoundTripWarmsEverything(t *testing.T) {
 }
 
 // legacySnapFile is the snapshot payload as written by binaries that
-// still had the solver portfolio: identical to snapFile except that
-// each table's slicerKey carried a Portfolio field. gob matches struct
-// fields by name and skips ones the decoder's type lacks, so the
-// current reader must accept these files unchanged.
+// still had the solver portfolio and the summaries switch: identical to
+// snapFile except that each table's slicerKey carried Summaries and
+// Portfolio fields. gob matches struct fields by name and skips ones
+// the decoder's type lacks, so the current reader must accept these
+// files unchanged.
 type legacySnapFile struct {
 	Version  int
 	SavedAt  int64
@@ -180,9 +181,9 @@ type legacySlicerKey struct {
 }
 
 // TestSnapshotRestoresLegacySlicerKey: a snapshot whose summary tables
-// are keyed by the legacy slicerKey (Portfolio on, the old slicerd
-// default) restores every summary and verdict with zero dropped
-// records, so removing the field needed no snapVersion bump.
+// are keyed by the legacy slicerKey (Summaries and Portfolio on, the
+// old slicerd defaults) restores every summary and verdict with zero
+// dropped records, so removing the fields needed no snapVersion bump.
 func TestSnapshotRestoresLegacySlicerKey(t *testing.T) {
 	warm := newSnapServer(t, Config{})
 	warmUp(t, warm)
@@ -195,7 +196,7 @@ func TestSnapshotRestoresLegacySlicerKey(t *testing.T) {
 		for _, st := range sp.Tables {
 			k := st.Opts
 			op.Tables = append(op.Tables, legacySnapTable{
-				Opts: legacySlicerKey{Early: k.Early, Skip: k.Skip, Summaries: k.Summaries, Portfolio: true},
+				Opts: legacySlicerKey{Early: k.Early, Skip: k.Skip, Summaries: true, Portfolio: true},
 				Sums: st.Sums,
 			})
 			summaries += len(st.Sums)
@@ -370,8 +371,12 @@ func TestRestartRecoveryUnderLoad(t *testing.T) {
 			}
 		}(g)
 	}
-	// Kill mid-load: drain while the goroutines are still posting.
-	time.Sleep(15 * time.Millisecond)
+	// Kill mid-load: drain while the goroutines are still posting, once
+	// both programs have been admitted (a fixed sleep could drain
+	// before any srcCalls request got in, leaving nothing to restore).
+	for deadline := time.Now().Add(5 * time.Second); s1.s.Stats().Programs < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	s1.s.Drain(2 * time.Second)
 	wg.Wait()
 	if err := s1.s.SaveSnapshot(snap); err != nil {

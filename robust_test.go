@@ -238,7 +238,7 @@ func TestOracleContractHoldsForDegradedSlices(t *testing.T) {
 // conservative slice stays sound, and the oracle's own undecidable
 // checks degrade to "inconclusive", not to noise.
 func TestOracleContractHoldsUnderInjectedUnknowns(t *testing.T) {
-	sopts := core.Options{EarlyUnsatStop: true, CheckEvery: 1}
+	sopts := core.Options{EarlyUnsatStop: true}
 	copts := oracle.CheckOptions{ReachCheck: true}
 	injectedTotal := int64(0)
 	for _, file := range []string{"ex2.mc", "safe.mc", "overdraft.mc"} {
@@ -353,11 +353,11 @@ func TestMetamorphicHungSolverReturnsWithinDeadline(t *testing.T) {
 }
 
 // TestMetamorphicWorkerPanicContainment: with panics injected into the
-// parallel per-predicate solver workers, the pool must contain them
-// (the check completes, the process survives) and the verdict may only
-// weaken relative to the fault-free run.
+// per-predicate entailment tasks of the abstract post, each task must
+// contain its own (the check completes, the process survives) and the
+// verdict may only weaken relative to the fault-free run.
 func TestMetamorphicWorkerPanicContainment(t *testing.T) {
-	opts := cegar.Options{UseSlicing: true, MaxWork: 60000, SolverWorkers: 4}
+	opts := cegar.Options{UseSlicing: true, MaxWork: 60000}
 	injectedTotal := int64(0)
 	for _, file := range []string{"safe.mc", "overdraft.mc"} {
 		prog := loadProgram(t, file)
