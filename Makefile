@@ -1,5 +1,5 @@
 # Tier-1 gate: everything a PR must keep green. `make check` is the
-# canonical pre-merge command (build, vet, full tests, the race
+# canonical pre-merge command (build, vet, gofmt, full tests, the race
 # detector over the packages that share state across goroutines —
 # the solver cache shared by parallel CEGAR checks and slicerd
 # sessions, the dataflow query caches behind a shared Slicer, and
@@ -9,15 +9,20 @@ GO ?= go
 
 RACE_PKGS = ./internal/cegar/ ./internal/cfa/ ./internal/client/ ./internal/core/ ./internal/dataflow/ ./internal/faults/ ./internal/interp/ ./internal/logic/ ./internal/obs/ ./internal/oracle/ ./internal/service/ ./internal/smt/
 
-.PHONY: check build vet test race fuzz oracle docs-check serve-smoke chaos-smoke bench bench-json bench-diff farm experiments
+.PHONY: check build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench bench-json bench-diff farm experiments
 
-check: build vet test race fuzz oracle docs-check serve-smoke chaos-smoke bench-diff farm
+check: build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench-diff farm
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would reformat any tracked .go file.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

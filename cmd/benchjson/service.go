@@ -101,11 +101,11 @@ func runServiceWarm() (*serviceWarmRecord, error) {
 // cmd/benchdiff gates on the restored request reusing every snapshot
 // constituent and beating the cold one (same artifact, same host).
 type snapshotRestartRecord struct {
-	SnapshotBytes     int64   `json:"snapshot_bytes"`
-	RestoredPrograms  int64   `json:"restored_programs"`
-	RestoredSummaries int64   `json:"restored_summaries"`
-	RestoredVerdicts  int64   `json:"restored_verdicts"`
-	DroppedRecords    int64   `json:"dropped_records"`
+	SnapshotBytes     int64 `json:"snapshot_bytes"`
+	RestoredPrograms  int64 `json:"restored_programs"`
+	RestoredSummaries int64 `json:"restored_summaries"`
+	RestoredVerdicts  int64 `json:"restored_verdicts"`
+	DroppedRecords    int64 `json:"dropped_records"`
 	// ColdFirstMS/WarmFirstMS are server-side elapsed times of the
 	// first slice request on a cold vs snapshot-restored server (best
 	// of three full save/restore cycles).

@@ -20,13 +20,15 @@
 // "check" span, every refinement round a "cegar-iteration" span (with
 // predicate counts and counterexample/slice sizes as attributes), and
 // the registry accumulates cegar_* counters — solver calls, abstract
-// posts, post-memo hits, states explored, and the most entailments one
+// posts, post-memo hits, states explored, entailments the frame rule
+// answered, conjuncts the cone left out, and the most entailments one
 // abstract post computed. See docs/OBSERVABILITY.md for the catalogue.
 package cegar
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -53,7 +55,9 @@ var (
 	mAbstractPosts  = obs.Default().Counter("cegar_abstract_posts_total")
 	mStatesExplored = obs.Default().Counter("cegar_states_explored_total")
 	mPredicates     = obs.Default().Gauge("cegar_predicates")
-	mPostEntailsMax = obs.Default().Gauge("cegar_solver_queue_depth_max")
+	mPostEntailsMax = obs.Default().Gauge("cegar_post_entailments_max")
+	mFrameSkips     = obs.Default().Counter("cegar_post_frame_skips_total")
+	mConeDropped    = obs.Default().Counter("cegar_post_cone_dropped_total")
 
 	// mRecoveredPanics is the process-wide recovered-panic counter
 	// shared with internal/core (same registry name → same handle). It
@@ -242,10 +246,9 @@ type Result struct {
 
 // Checker holds the per-program machinery shared across checks.
 type Checker struct {
-	prog      *cfa.Program
-	slicer    *core.Slicer
-	opts      Options
-	predScope map[string][]string // predicate → functions whose locals it mentions
+	prog   *cfa.Program
+	slicer *core.Slicer
+	opts   Options
 
 	// cache memoizes solver verdicts across states, refinement
 	// iterations, and targets; nil when disabled.
@@ -264,16 +267,21 @@ type Checker struct {
 	// disabled (with the cache on, its miss counter plays this role).
 	uncachedCalls int64
 	memoHits      int64
+
+	// Test hooks, set only through export_test.go: checkEntail observes
+	// every entailment the post decides, and dropConnected plants an
+	// over-eager cone that leaves out one connected conjunct.
+	checkEntail   func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
+	dropConnected bool
 }
 
 // New builds a checker for prog.
 func New(prog *cfa.Program, opts Options) *Checker {
 	opts = opts.withDefaults()
 	c := &Checker{
-		prog:      prog,
-		slicer:    core.NewWithOptions(prog, opts.SlicerOpts),
-		opts:      opts,
-		predScope: make(map[string][]string),
+		prog:   prog,
+		slicer: core.NewWithOptions(prog, opts.SlicerOpts),
+		opts:   opts,
 	}
 	if opts.SharedCache != nil {
 		c.cache = opts.SharedCache
@@ -373,7 +381,7 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 			"solver_calls": res.SolverCalls,
 		})
 	}()
-	var preds []logic.Formula
+	var preds []predicate
 	seen := make(map[string]bool) // predicate strings, for dedup
 
 	for iter := 1; ; iter++ {
@@ -393,7 +401,7 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 // refinement — mutating res and preds. It reports whether the check
 // is decided; attrs collects the per-iteration trace attributes
 // (predicate count, counterexample and slice sizes, outcome).
-func (c *Checker) checkIteration(ctx context.Context, target *cfa.Loc, res *Result, preds *[]logic.Formula, seen map[string]bool, attrs map[string]any) bool {
+func (c *Checker) checkIteration(ctx context.Context, target *cfa.Loc, res *Result, preds *[]predicate, seen map[string]bool, attrs map[string]any) bool {
 	if res.Refinements >= c.opts.MaxRefinements || ctx.Err() != nil {
 		res.Verdict = VerdictTimeout
 		attrs["outcome"] = res.Verdict.String()
@@ -572,24 +580,34 @@ func (cs *coverSet) add(st *absState) bool {
 	return false
 }
 
-// stateFormula is the conjunction of determined predicates.
-func stateFormula(preds []logic.Formula, vals []int8) logic.Formula {
-	var fs []logic.Formula
-	for i, v := range vals {
-		switch v {
-		case 1:
-			fs = append(fs, preds[i])
-		case -1:
-			fs = append(fs, logic.MkNot(preds[i]))
+// predicate is one abstraction predicate together with what the
+// abstract post reads of it, computed once when refinement adds it:
+// its content string (memo keys outlive a check, so they name
+// predicates by content), its variables (the cone) and the functions
+// whose locals it mentions (localization).
+type predicate struct {
+	f     logic.Formula
+	key   string
+	vars  []string
+	scope []string
+}
+
+func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
+	p := predicate{f: f, key: key, vars: logic.Vars(f)}
+	for _, v := range p.vars {
+		fn := c.prog.FuncOf(v)
+		if fn == nil || cfa.IsTransferVar(v) || slices.Contains(p.scope, fn.Name) {
+			continue
 		}
+		p.scope = append(p.scope, fn.Name)
 	}
-	return logic.MkAnd(fs...)
+	return p
 }
 
 // reach explores the abstract state space; it returns an abstract path
 // to target (or nil), the work spent, and whether the budget ran out
 // before the frontier was exhausted.
-func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []logic.Formula, budget int) (cfa.Path, int, bool) {
+func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []predicate, budget int) (cfa.Path, int, bool) {
 	if budget <= 0 {
 		return nil, 0, true
 	}
@@ -660,23 +678,25 @@ type postMemoEntry struct {
 // predicate WP computations so each predicate's formulas are identical
 // regardless of which other predicates the memo already answered.
 // A single WPOp mints at most a handful of fresh variables per havoc
-// or nondet read, far below the stride.
+// or nondet read, far below the stride. Predicate i's range starts at
+// (i+1)*freshStride; the assume, converted once per post, uses the
+// range below the first.
 const freshStride = 4096
 
 // memoKey identifies an abstract-post computation: the edge, the
-// determined entries of the source valuation (exactly what stateFormula
-// conjoins — undetermined predicates contribute nothing), and the
-// localization scope (the set of functions on the stack decides which
-// predicates are evaluated at all). Determined conjuncts are keyed by
-// predicate content, not index, so a key stays valid across checks
-// whose predicate lists differ (the predicate index space restarts per
-// Check; its contents do not).
-func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []logic.Formula) string {
+// determined entries of the source valuation (exactly the literals the
+// entailment precondition conjoins — undetermined predicates contribute
+// nothing), and the localization scope (the set of functions on the
+// stack decides which predicates are evaluated at all). Determined
+// conjuncts are keyed by predicate content, not index, so a key stays
+// valid across checks whose predicate lists differ (the predicate index
+// space restarts per Check; its contents do not).
+func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d|", e.ID)
 	for i, v := range st.vals {
 		if v != 0 {
-			fmt.Fprintf(&b, "%s:%d,", preds[i], v)
+			fmt.Fprintf(&b, "%s:%d,", preds[i].key, v)
 		}
 	}
 	if !c.opts.NoLocalize && len(st.stack) > 0 {
@@ -696,10 +716,25 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []logic.Formula) stri
 
 // post computes the abstract successor of st via edge e, or nil when
 // the edge is abstractly infeasible. The work counter counts logical
-// solver queries — the same number whether or not they were answered
-// from the memo or cache, so budgets behave identically across
-// configurations.
-func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []logic.Formula) (*absState, int) {
+// solver queries — the same number whether they were answered from the
+// memo, the cache or the frame rule, so budgets behave identically
+// across configurations.
+//
+// Each entailment is decided by two rules before the solver sees it.
+// Both are exact whenever the source valuation is satisfiable, which
+// holds by induction unless a solver query answered Unknown: the root
+// is true, an assignment's image of a satisfiable set is non-empty, and
+// an assume is pruned on the full precondition before any entailment.
+// With an unsatisfiable source the state is empty, so any successor
+// valuation is sound.
+//   - Frame rule: on a non-assume edge whose WP leaves p unchanged, a p
+//     the source determines keeps its value. (An undetermined p is left
+//     to the cone: the source may entail it without naming it.)
+//   - Cone: a query conjoins wp(±p) only with the precondition's
+//     conjuncts variable-connected to it. The rest share no variable
+//     with the query and are jointly satisfiable, so dropping them
+//     leaves its satisfiability unchanged.
+func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []predicate) (*absState, int) {
 	work := 0
 	mAbstractPosts.Inc()
 
@@ -722,7 +757,6 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 		return succ, work
 	}
 
-	cur := stateFormula(preds, st.vals)
 	var memo *postMemoEntry
 	if !c.opts.DisablePostMemo {
 		key := c.memoKey(st, e, preds)
@@ -735,13 +769,26 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 		}
 	}
 
+	// The precondition is built on first use: a post the memo answers
+	// in full never needs it.
+	var pre *entailPre
+	precondition := func() *entailPre {
+		if pre == nil {
+			var assume logic.Formula
+			if e.Op.Kind == cfa.OpAssume {
+				fresh := 0
+				assume = assumeFormula(e.Op, c.slicer, &fresh)
+			}
+			pre = newEntailPre(preds, st.vals, assume)
+		}
+		return pre
+	}
+
 	if e.Op.Kind == cfa.OpAssume {
 		// Prune when the state cannot take the branch.
 		work++
 		if memo == nil || !memo.prunedKnown {
-			fresh := 0
-			predF, side := assumeFormula(e.Op, c.slicer, &fresh)
-			pruned := c.solve(ctx, logic.MkAnd(append(side, cur, predF)...)).Status == smt.StatusUnsat
+			pruned := c.solve(ctx, logic.MkAnd(precondition().fs...)).Status == smt.StatusUnsat
 			if memo != nil {
 				memo.prunedKnown, memo.pruned = true, pruned
 			} else if pruned {
@@ -773,18 +820,26 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 			panic("faults: injected worker panic")
 		}
 		fresh := (i + 1) * freshStride
-		p := preds[i]
+		p := preds[i].f
 		wpP := wp.WPOp(p, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
-		wpNotP := wp.WPOp(logic.MkNot(p), e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
-		pre := cur
-		if e.Op.Kind == cfa.OpAssume {
-			predF, side := assumeFormula(e.Op, c.slicer, &fresh)
-			pre = logic.MkAnd(append(side, cur, predF)...)
+		if e.Op.Kind != cfa.OpAssume && st.vals[i] != 0 && logic.Equal(wpP, p) {
+			mFrameSkips.Inc()
+			return st.vals[i]
 		}
+		wpNotP := wp.WPOp(logic.MkNot(p), e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
+		// wp(¬p) differs from wp(p) only in fresh variables, which no
+		// precondition conjunct mentions, so one cone serves both.
+		full := precondition()
+		cone := full.cone(logic.Vars(wpP))
+		if c.dropConnected && len(cone) > 0 {
+			cone = cone[1:]
+		}
+		mConeDropped.Add(int64(len(full.fs) - len(cone)))
+		coneF := logic.MkAnd(cone...)
 		switch {
-		case c.solve(ctx, logic.MkAnd(pre, wpNotP)).Status == smt.StatusUnsat:
+		case c.solve(ctx, logic.MkAnd(coneF, wpNotP)).Status == smt.StatusUnsat:
 			return 1 // every post-state satisfies p
-		case c.solve(ctx, logic.MkAnd(pre, wpP)).Status == smt.StatusUnsat:
+		case c.solve(ctx, logic.MkAnd(coneF, wpP)).Status == smt.StatusUnsat:
 			return -1
 		}
 		return 0
@@ -792,22 +847,23 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 	vals := make([]int8, len(preds))
 	computed := 0
 	for i, p := range preds {
-		if !c.opts.NoLocalize && !c.predInScope(p, e.Dst, st.stack) {
+		if !c.opts.NoLocalize && !predInScope(p, e.Dst, st.stack) {
 			continue // unknown
 		}
 		work += 2
-		var key string
 		if memo != nil {
-			key = p.String()
-			if v, ok := memo.vals[key]; ok {
+			if v, ok := memo.vals[p.key]; ok {
 				vals[i] = v
 				continue // memoized
 			}
 		}
 		vals[i] = entail(i)
 		computed++
+		if c.checkEntail != nil {
+			c.checkEntail(st, e, preds, i, vals[i])
+		}
 		if memo != nil {
-			memo.vals[key] = vals[i]
+			memo.vals[p.key] = vals[i]
 		}
 	}
 	mPostEntailsMax.SetMax(int64(computed))
@@ -816,32 +872,99 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []l
 	return succ, work
 }
 
-// scopeOf returns (computing and caching on first use) the functions
-// whose locals predicate p mentions.
-func (c *Checker) scopeOf(p logic.Formula) []string {
-	key := p.String()
-	fns, ok := c.predScope[key]
-	if !ok {
-		seen := map[string]struct{}{}
-		for _, v := range logic.Vars(p) {
-			if fn := c.prog.FuncOf(v); fn != nil && !cfa.IsTransferVar(v) {
-				seen[fn.Name] = struct{}{}
+// entailPre is the precondition of one post's entailment queries as a
+// conjunct list: the source's determined literals, then on an assume
+// edge the assume's conjuncts. comp[j] is conjunct j's variable-
+// connected component (a union-find root over up), -1 when it has no
+// variables.
+type entailPre struct {
+	fs   []logic.Formula
+	comp []int
+	node map[string]int // variable → union-find node
+	up   []int
+}
+
+func newEntailPre(preds []predicate, vals []int8, assume logic.Formula) *entailPre {
+	pre := &entailPre{node: make(map[string]int)}
+	var vars [][]string
+	for i, v := range vals {
+		switch v {
+		case 1:
+			pre.fs = append(pre.fs, preds[i].f)
+		case -1:
+			pre.fs = append(pre.fs, logic.MkNot(preds[i].f))
+		default:
+			continue
+		}
+		vars = append(vars, preds[i].vars)
+	}
+	if assume != nil {
+		conj := []logic.Formula{assume}
+		if a, ok := assume.(logic.And); ok {
+			conj = a.Fs
+		}
+		for _, f := range conj {
+			pre.fs = append(pre.fs, f)
+			vars = append(vars, logic.Vars(f))
+		}
+	}
+	pre.comp = make([]int, len(pre.fs))
+	for j, vs := range vars {
+		pre.comp[j] = -1
+		for _, v := range vs {
+			n, ok := pre.node[v]
+			if !ok {
+				n = len(pre.up)
+				pre.node[v] = n
+				pre.up = append(pre.up, n)
+			}
+			if pre.comp[j] < 0 {
+				pre.comp[j] = n
+			} else {
+				pre.up[pre.find(n)] = pre.find(pre.comp[j])
 			}
 		}
-		for name := range seen {
-			fns = append(fns, name)
-		}
-		c.predScope[key] = fns
 	}
-	return fns
+	for j, n := range pre.comp {
+		if n >= 0 {
+			pre.comp[j] = pre.find(n)
+		}
+	}
+	return pre
+}
+
+func (pre *entailPre) find(n int) int {
+	for pre.up[n] != n {
+		pre.up[n] = pre.up[pre.up[n]]
+		n = pre.up[n]
+	}
+	return n
+}
+
+// cone returns the conjuncts variable-connected to any of vars, in
+// precondition order.
+func (pre *entailPre) cone(vars []string) []logic.Formula {
+	in := make([]bool, len(pre.up))
+	for _, v := range vars {
+		if n, ok := pre.node[v]; ok {
+			in[pre.find(n)] = true
+		}
+	}
+	var out []logic.Formula
+	for j, f := range pre.fs {
+		if n := pre.comp[j]; n >= 0 && in[n] {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // predInScope reports whether predicate p may be evaluated at a state
 // whose location is loc with the given stack: every function whose
 // locals the predicate mentions must be the current function or on the
 // stack. Global-only predicates are always in scope.
-func (c *Checker) predInScope(p logic.Formula, loc *cfa.Loc, stack []*cfa.Edge) bool {
-	for _, name := range c.scopeOf(p) {
+func predInScope(p predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
+	for _, name := range p.scope {
 		if loc.Fn.Name == name {
 			continue
 		}
@@ -861,9 +984,8 @@ func (c *Checker) predInScope(p logic.Formula, loc *cfa.Loc, stack []*cfa.Edge) 
 
 // assumeFormula converts an assume predicate to a formula over plain
 // variable names (reusing the WP machinery's conversion).
-func assumeFormula(op cfa.Op, s *core.Slicer, fresh *int) (logic.Formula, []logic.Formula) {
-	f := wp.WPOp(logic.True, op, s.Alias, s.Addrs, fresh)
-	return f, nil
+func assumeFormula(op cfa.Op, s *core.Slicer, fresh *int) logic.Formula {
+	return wp.WPOp(logic.True, op, s.Alias, s.Addrs, fresh)
 }
 
 // extractPath walks parent pointers back to the root.
@@ -886,7 +1008,7 @@ func extractPath(st *absState) cfa.Path {
 // trace formula, mapped back to unversioned program variables ("the
 // refinement algorithm analyzes the output of the path slicer to find
 // why a path is infeasible" — §1, after [16]).
-func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []logic.Formula, seen map[string]bool) ([]logic.Formula, bool) {
+func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []predicate, seen map[string]bool) ([]predicate, bool) {
 	sp := obs.StartSpan(obs.PhaseRefine)
 	defer sp.End()
 	grew := false
@@ -899,7 +1021,7 @@ func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []logic.Form
 			return
 		}
 		seen[key] = true
-		preds = append(preds, g)
+		preds = append(preds, c.newPredicate(g, key))
 		grew = true
 	}
 	// 1. Atoms of the slice's trace formula, unversioned. When the
