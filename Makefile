@@ -31,14 +31,16 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Short native-fuzzing smoke over the byte-input boundaries (the MiniC
-# parser — sequential and threaded grammars — the smt linearizer, and
-# the PSTRC02 concurrent-trace decoder); `make FUZZTIME=5m fuzz` digs
+# parser — sequential and threaded grammars — the smt linearizer, the
+# solver's exact number type at the int64 word boundary, and the
+# PSTRC02 concurrent-trace decoder); `make FUZZTIME=5m fuzz` digs
 # deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/lang/parser/ -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang/parser/ -run '^$$' -fuzz FuzzParseThreads -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzLinearize -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzNum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cfa/ -run '^$$' -fuzz FuzzConcurrentTrace -fuzztime $(FUZZTIME)
 
 # Differential/metamorphic oracle campaign over generated programs
@@ -91,7 +93,7 @@ bench-diff:
 
 # Time-budgeted verification farm (docs/PERFORMANCE.md): a planted-
 # regression benchdiff self-test, then iterations of the oracle
-# campaign and both fuzz targets; with
+# campaign and the parser and solver fuzz targets; with
 # a budget past ~90s each loop also regenerates BENCH_PR10.json in a
 # scratch workspace and benchdiff-gates it against the committed
 # baseline. `make farm FARMTIME=30m` for a soak; the default short

@@ -1,7 +1,7 @@
 // Command farm is the time-budgeted verification farm: one command
 // that keeps hammering the solver pipeline for as long as you give it
-// — the differential/metamorphic oracle campaign, both native fuzz
-// targets, and the benchmark suite, with every fresh BENCH_PR10.json
+// — the differential/metamorphic oracle campaign, the parser and
+// solver native fuzz targets, and the benchmark suite, with every fresh BENCH_PR10.json
 // gated by benchdiff against the checked-in baseline. `make farm`
 // runs it; `make check` includes a short burst (FARMTIME=60s).
 //
@@ -15,8 +15,10 @@
 //  1. Oracle: a fresh campaign (seed = iteration number, so every
 //     iteration explores new programs) — any Theorem-1 violation
 //     fails the farm.
-//  2. Fuzz: FuzzParse and FuzzLinearize for -fuzztime each (the
-//     threaded-syntax and PSTRC02 fuzzers stay on `make fuzz`).
+//  2. Fuzz: FuzzParse, FuzzLinearize and FuzzNum (the solver's
+//     exact number type at the int64 word boundary) for -fuzztime
+//     each (the threaded-syntax and PSTRC02 fuzzers stay on
+//     `make fuzz`).
 //  3. Bench: when at least -bench-min budget remains, cmd/benchjson
 //     writes a fresh BENCH_PR10.json into the workspace (next to a copy
 //     of the checked-in artifacts) and cmd/benchdiff gates it — the
@@ -95,6 +97,9 @@ func main() {
 			fatal(err)
 		}
 		if err := fuzzPhase("./internal/smt/", "FuzzLinearize", *fuzztime); err != nil {
+			fatal(err)
+		}
+		if err := fuzzPhase("./internal/smt/", "FuzzNum", *fuzztime); err != nil {
 			fatal(err)
 		}
 		if time.Until(deadline) >= *benchMin {

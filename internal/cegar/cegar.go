@@ -1040,7 +1040,7 @@ func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []predicate,
 	// wrong ones.
 	var mineFrom []logic.Formula
 	if r := solver.CheckCtx(ctx); r.Status == smt.StatusUnsat {
-		core, _ := solver.UnsatCore()
+		core, _ := solver.UnsatCore(ctx)
 		mineFrom = core
 	} else {
 		mineFrom = []logic.Formula{c.slicer.TraceFormula(slice)}
@@ -1177,15 +1177,4 @@ func unversion(a logic.Cmp) logic.Formula {
 		sub[name] = logic.Var{Name: base}
 	}
 	return logic.Subst(logic.Formula(a), sub)
-}
-
-// PredicateStrings renders a predicate list deterministically (for
-// tests and debugging).
-func PredicateStrings(preds []logic.Formula) []string {
-	out := make([]string, len(preds))
-	for i, p := range preds {
-		out[i] = p.String()
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,8 +1,11 @@
 package smt
 
 import (
+	"context"
 	"testing"
+	"time"
 
+	"pathslice/internal/faults"
 	"pathslice/internal/logic"
 )
 
@@ -17,7 +20,7 @@ func TestUnsatCoreBasic(t *testing.T) {
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatalf("status: %s", r.Status)
 	}
-	core, idx := s.UnsatCore()
+	core, idx := s.UnsatCore(context.Background())
 	if len(core) != 2 {
 		t.Fatalf("core size %d (want 2): %v", len(core), core)
 	}
@@ -36,7 +39,7 @@ func TestUnsatCoreOnSatIsNil(t *testing.T) {
 	if r := s.Check(); r.Status != StatusSat {
 		t.Fatal("should be sat")
 	}
-	if core, idx := s.UnsatCore(); core != nil || idx != nil {
+	if core, idx := s.UnsatCore(context.Background()); core != nil || idx != nil {
 		t.Error("core on sat must be nil")
 	}
 }
@@ -54,7 +57,7 @@ func TestUnsatCoreChain(t *testing.T) {
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatal("should be unsat")
 	}
-	core, idx := s.UnsatCore()
+	core, idx := s.UnsatCore(context.Background())
 	if len(core) != 4 {
 		t.Fatalf("core: %v", core)
 	}
@@ -72,8 +75,63 @@ func TestUnsatCoreSingleton(t *testing.T) {
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatal("should be unsat")
 	}
-	core, _ := s.UnsatCore()
+	core, _ := s.UnsatCore(context.Background())
 	if len(core) != 1 || !logic.Equal(core[0], logic.False) {
 		t.Errorf("core: %v", core)
+	}
+}
+
+// TestUnsatCoreHonoursContext: minimization runs one trial solve per
+// member, so the check's context must bound it. With every solve
+// stalled for 1s, UnsatCore must return well within the stall with the
+// unminimized core — still unsatisfiable — instead of sitting out one
+// stall per member: at once when the context was cancelled after the
+// check, and at its deadline when that lapses during a trial solve.
+func TestUnsatCoreHonoursContext(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // 0: cancel once the check is done
+	}{
+		{"cancelled after the check", 0},
+		{"deadline lapses during a trial", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ctx context.Context
+			var cancel context.CancelFunc
+			if tc.timeout > 0 {
+				ctx, cancel = context.WithTimeout(context.Background(), tc.timeout)
+			} else {
+				ctx, cancel = context.WithCancel(context.Background())
+			}
+			defer cancel()
+			s := NewSolver()
+			s.Assert(ge(v("x"), c(0)))
+			s.Assert(eq(v("y"), c(5)))
+			s.Assert(ne(v("y"), c(5)))
+			if r := s.CheckCtx(ctx); r.Status != StatusUnsat {
+				t.Fatalf("status: %s", r.Status)
+			}
+			if tc.timeout == 0 {
+				cancel()
+			}
+			prev := faults.Install(faults.New(faults.Config{
+				Seed:  1,
+				Rates: map[faults.Kind]float64{faults.SolverStall: 1},
+				Stall: time.Second,
+			}))
+			start := time.Now()
+			core, idx := s.UnsatCore(ctx)
+			elapsed := time.Since(start)
+			faults.Install(prev)
+			if elapsed > 500*time.Millisecond {
+				t.Fatalf("UnsatCore took %v", elapsed)
+			}
+			if len(core) != 3 || len(idx) != 3 {
+				t.Fatalf("core %v (indices %v), want all 3 assertions", core, idx)
+			}
+			if r := Solve(logic.MkAnd(core...)); r.Status != StatusUnsat {
+				t.Fatalf("returned core is %s, want unsat", r.Status)
+			}
+		})
 	}
 }

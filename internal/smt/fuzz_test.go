@@ -2,6 +2,9 @@ package smt
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/big"
 	"testing"
 
 	"pathslice/internal/logic"
@@ -16,6 +19,7 @@ import (
 type fuzzDecoder struct {
 	data []byte
 	pos  int
+	wide bool // some constant lies outside int8 range
 }
 
 func (d *fuzzDecoder) next() byte {
@@ -29,17 +33,36 @@ func (d *fuzzDecoder) next() byte {
 
 var fuzzVars = []string{"x", "y", "z", "w"}
 
+// constant decodes an int8 constant, except that the byte 0x80 is a
+// marker: the next byte picks one of numEdges or -128, so some
+// constants sit on the int64 word boundaries and the big.Rat fallback
+// of the linearizer and the simplex runs end to end, while every int8
+// value stays reachable.
+func (d *fuzzDecoder) constant() logic.Const {
+	b := d.next()
+	if b != 0x80 {
+		return logic.Const{V: int64(int8(b))}
+	}
+	i := int(d.next()) % (len(numEdges) + 1)
+	if i == len(numEdges) {
+		return logic.Const{V: math.MinInt8}
+	}
+	v := numEdges[i].Int64()
+	d.wide = d.wide || v < math.MinInt8 || v > math.MaxInt8
+	return logic.Const{V: v}
+}
+
 func (d *fuzzDecoder) term(depth int) logic.Term {
 	b := d.next()
 	if depth <= 0 {
 		if b%2 == 0 {
-			return logic.Const{V: int64(int8(d.next()))}
+			return d.constant()
 		}
 		return logic.Var{Name: fuzzVars[int(d.next())%len(fuzzVars)]}
 	}
 	switch b % 8 {
 	case 0:
-		return logic.Const{V: int64(int8(d.next()))}
+		return d.constant()
 	case 1:
 		return logic.Var{Name: fuzzVars[int(d.next())%len(fuzzVars)]}
 	case 2:
@@ -85,6 +108,11 @@ func FuzzLinearize(f *testing.F) {
 	f.Add([]byte("\x02\x04\x01\x00\x03\x05\x01\x01\x07"))
 	f.Add([]byte{2, 2, 4, 1, 0, 1, 1, 0, 3, 0, 5, 1, 2})
 	f.Add([]byte{1, 0, 1, 5, 1, 0, 6, 1, 1, 0, 7})
+	// Word-boundary constants: MaxInt64·x + MaxInt64·y ≤ -MaxInt64 and
+	// MinInt64 - x < 2^62·2^62, whose products only the big.Rat form
+	// holds.
+	f.Add([]byte{0, 3, 2, 4, 0, 0x80, 10, 1, 0, 4, 0, 0x80, 10, 1, 1, 0, 0x80, 11})
+	f.Add([]byte{0, 2, 3, 0, 0x80, 1, 1, 0, 4, 0, 0x80, 8, 0, 0x80, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzDecoder{data: data}
 		formula := d.formula(3)
@@ -121,10 +149,24 @@ func FuzzLinearize(f *testing.F) {
 				}
 			}
 			ok, err := logic.Eval(formula, model)
+			if err == nil && !ok && d.wide {
+				// logic.Eval wraps on int64 overflow, while the solver
+				// decides over the integers. Only on a formula with a
+				// word-boundary constant is a model Eval rejects judged
+				// again, by exact evaluation: it passes when that
+				// evaluation, which left int64 range somewhere, holds.
+				// Formulas with int8 constants alone keep the strict
+				// check.
+				ev := exactEval{env: model}
+				var exact bool
+				if exact, err = ev.formula(formula); err == nil {
+					ok = exact && ev.overflow
+				}
+			}
 			if err != nil {
-				// Eval is strict: a division by zero anywhere — even
-				// in a disjunct the model does not rely on — aborts
-				// evaluation, while the solver models division as an
+				// Evaluation is strict: a division by zero anywhere —
+				// even in a disjunct the model does not rely on —
+				// aborts it, while the solver models division as an
 				// abstracted total function. Only that mismatch is
 				// tolerated.
 				var dz logic.ErrDivByZero
@@ -143,4 +185,113 @@ func FuzzLinearize(f *testing.F) {
 			t.Fatalf("undefined status %v for %s", r.Status, formula)
 		}
 	})
+}
+
+// exactEval evaluates formulas over the integers with math/big, with
+// logic.Eval's C semantics for / and % and its strict error handling;
+// overflow records whether a value left int64 range.
+type exactEval struct {
+	env      map[string]int64
+	overflow bool
+}
+
+func (e *exactEval) term(t logic.Term) (*big.Int, error) {
+	var r *big.Int
+	switch t := t.(type) {
+	case logic.Const:
+		return big.NewInt(t.V), nil
+	case logic.Var:
+		v, ok := e.env[t.Name]
+		if !ok {
+			return nil, logic.ErrUnbound{Name: t.Name}
+		}
+		return big.NewInt(v), nil
+	case logic.Neg:
+		x, err := e.term(t.X)
+		if err != nil {
+			return nil, err
+		}
+		r = new(big.Int).Neg(x)
+	case logic.Bin:
+		x, err := e.term(t.X)
+		if err != nil {
+			return nil, err
+		}
+		y, err := e.term(t.Y)
+		if err != nil {
+			return nil, err
+		}
+		switch t.Op {
+		case logic.OpAdd:
+			r = new(big.Int).Add(x, y)
+		case logic.OpSub:
+			r = new(big.Int).Sub(x, y)
+		case logic.OpMul:
+			r = new(big.Int).Mul(x, y)
+		default: // OpDiv, OpMod: truncated, as in C
+			if y.Sign() == 0 {
+				return nil, logic.ErrDivByZero{T: t}
+			}
+			q, m := new(big.Int).QuoRem(x, y, new(big.Int))
+			r = q
+			if t.Op == logic.OpMod {
+				r = m
+			}
+		}
+	default:
+		return nil, fmt.Errorf("unknown term %T", t)
+	}
+	if !r.IsInt64() {
+		e.overflow = true
+	}
+	return r, nil
+}
+
+func (e *exactEval) formula(f logic.Formula) (bool, error) {
+	switch f := f.(type) {
+	case logic.Bool:
+		return f.V, nil
+	case logic.Cmp:
+		x, err := e.term(f.X)
+		if err != nil {
+			return false, err
+		}
+		y, err := e.term(f.Y)
+		if err != nil {
+			return false, err
+		}
+		c := x.Cmp(y)
+		switch f.Op {
+		case logic.CmpEq:
+			return c == 0, nil
+		case logic.CmpNe:
+			return c != 0, nil
+		case logic.CmpLt:
+			return c < 0, nil
+		case logic.CmpLe:
+			return c <= 0, nil
+		case logic.CmpGt:
+			return c > 0, nil
+		case logic.CmpGe:
+			return c >= 0, nil
+		}
+	case logic.Not:
+		v, err := e.formula(f.F)
+		return !v, err
+	case logic.And:
+		for _, g := range f.Fs {
+			if v, err := e.formula(g); err != nil || !v {
+				return false, err
+			}
+		}
+		return true, nil
+	case logic.Or:
+		for _, g := range f.Fs {
+			if v, err := e.formula(g); err != nil || v {
+				return v, err
+			}
+		}
+		return false, nil
+	}
+	return false, fmt.Errorf("unknown formula %T", f)
 }

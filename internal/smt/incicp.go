@@ -1,7 +1,5 @@
 package smt
 
-import "sort"
-
 // Incremental interval constraint propagation: the persistent,
 // delta-driven counterpart of icpCheck (intervals.go) used by the
 // incremental Solver. Bounds carry over from check to check — within a
@@ -11,64 +9,42 @@ import "sort"
 // seeded with the delta: a check that adds k atoms touches the atoms
 // reachable from those k atoms' variables, not the whole conjunction.
 //
-// Like icpCheck this is a sound Unsat pre-filter only: saturated int64
-// arithmetic can widen but never narrow, so an empty interval here is
-// empty under exact arithmetic too. Anything else falls through to the
-// simplex.
-
-// icpAtom is a LinAtom with int64 coefficients (atoms that do not fit
-// are skipped — the simplex decides them exactly).
-type icpAtom struct {
-	kind   AtomKind
-	coeffs map[string]int64
-	vars   []string // sorted, for deterministic propagation order
-	k      int64
-}
-
-// convertICPAtom converts a LinAtom; ok is false when any coefficient
-// or the constant exceeds int64.
-func convertICPAtom(a LinAtom) (icpAtom, bool) {
-	if !a.Expr.Const.IsInt64() {
-		return icpAtom{}, false
-	}
-	conv := icpAtom{kind: a.Kind, coeffs: make(map[string]int64, len(a.Expr.Coeffs)), k: a.Expr.Const.Int64()}
-	for v, c := range a.Expr.Coeffs {
-		if !c.IsInt64() {
-			return icpAtom{}, false
-		}
-		conv.coeffs[v] = c.Int64()
-		conv.vars = append(conv.vars, v)
-	}
-	sort.Strings(conv.vars)
-	return conv, true
-}
+// Like icpCheck this is a sound Unsat pre-filter only: its int64
+// arithmetic saturates only where that widens a bound, so an empty
+// interval here is empty under exact arithmetic too. Anything else
+// falls through to the simplex. Both use the same atom form
+// (icpSystem) and tighten rule.
 
 // incICP is the persistent propagation state.
 type incICP struct {
-	atoms  []icpAtom
-	byVar  map[string][]int    // var -> indices of atoms mentioning it
-	bounds map[string]interval // missing = [-icpInf, icpInf]
+	icpSystem
+	ids    map[string]int
+	bounds []interval
+	byVar  [][]int // var id -> indices of atoms mentioning it
 }
 
 func newIncICP() *incICP {
-	return &incICP{byVar: make(map[string][]int), bounds: make(map[string]interval)}
+	return &incICP{ids: make(map[string]int)}
 }
 
-func (p *incICP) iv(v string) interval {
-	if iv, ok := p.bounds[v]; ok {
-		return iv
+// add converts and registers a LinAtom and returns its index; ok is
+// false when it does not fit the propagation form.
+func (p *incICP) add(a LinAtom) (int, bool) {
+	for _, t := range a.Expr.Terms {
+		if _, ok := p.ids[t.Var]; !ok {
+			p.ids[t.Var] = len(p.bounds)
+			p.bounds = append(p.bounds, interval{lo: -icpInf, hi: icpInf})
+			p.byVar = append(p.byVar, nil)
+		}
 	}
-	return interval{lo: -icpInf, hi: icpInf}
-}
-
-// add registers a converted atom and returns its index.
-func (p *incICP) add(a icpAtom) int {
-	idx := len(p.atoms)
-	p.atoms = append(p.atoms, a)
-	for _, v := range a.vars {
+	if !p.icpSystem.add(a, p.ids) {
+		return 0, false
+	}
+	idx := len(p.atoms) - 1
+	for _, v := range p.vars[p.atoms[idx].start:] {
 		p.byVar[v] = append(p.byVar[v], idx)
 	}
-	return idx
+	return idx, true
 }
 
 // truncate drops atoms from index n on and rebuilds the variable index
@@ -77,22 +53,31 @@ func (p *incICP) truncate(n int) {
 	if n >= len(p.atoms) {
 		return
 	}
-	p.atoms = p.atoms[:n]
-	p.byVar = make(map[string][]int, len(p.byVar))
+	end := p.atoms[n].start
+	p.atoms, p.vars, p.coeffs = p.atoms[:n], p.vars[:end], p.coeffs[:end]
+	for v := range p.byVar {
+		p.byVar[v] = p.byVar[v][:0]
+	}
 	for i, a := range p.atoms {
-		for _, v := range a.vars {
+		for _, v := range p.vars[a.start:a.end] {
 			p.byVar[v] = append(p.byVar[v], i)
 		}
 	}
 }
 
 // snapshotBounds copies the current bounds for a Push frame.
-func (p *incICP) snapshotBounds() map[string]interval {
-	out := make(map[string]interval, len(p.bounds))
-	for v, iv := range p.bounds {
-		out[v] = iv
+func (p *incICP) snapshotBounds() []interval {
+	return append(make([]interval, 0, len(p.bounds)), p.bounds...)
+}
+
+// restoreBounds reinstates a snapshot. Variables interned after it
+// was taken were unbounded then, so they are unbounded again.
+func (p *incICP) restoreBounds(snap []interval) {
+	n := len(p.bounds)
+	p.bounds = append(p.bounds[:0], snap...)
+	for len(p.bounds) < n {
+		p.bounds = append(p.bounds, interval{lo: -icpInf, hi: icpInf})
 	}
-	return out
 }
 
 // propagate runs worklist propagation seeded with the given atom
@@ -106,22 +91,23 @@ func (p *incICP) propagate(seed []int) Status {
 		budget = 64
 	}
 	queue := append([]int(nil), seed...)
-	queued := make(map[int]bool, len(seed))
+	queued := make([]bool, len(p.atoms))
 	for _, i := range seed {
 		queued[i] = true
 	}
+	var changed []int32
 	for len(queue) > 0 && budget > 0 {
 		i := queue[0]
 		queue = queue[1:]
 		queued[i] = false
 		budget--
-		var changed []string
-		if p.tighten(p.atoms[i], &changed) {
+		var empty bool
+		if changed, empty = p.tighten(i, p.bounds, changed[:0]); empty {
 			return StatusUnsat
 		}
 		for _, v := range changed {
 			for _, j := range p.byVar[v] {
-				if j < len(p.atoms) && !queued[j] {
+				if !queued[j] {
 					queued[j] = true
 					queue = append(queue, j)
 				}
@@ -129,103 +115,4 @@ func (p *incICP) propagate(seed []int) Status {
 		}
 	}
 	return StatusUnknown
-}
-
-// tighten applies one propagation step of atom a (the same per-atom
-// rule as icpCheck): for Σ cᵢxᵢ + k ≤ 0 each xⱼ gets
-// cⱼxⱼ ≤ -k - Σ_{i≠j} min(cᵢxᵢ), and for equalities additionally the
-// symmetric ≥ rule. It reports true when a bound pair empties and
-// appends the names of tightened variables to *changed.
-func (p *incICP) tighten(a icpAtom, changed *[]string) bool {
-	for _, j := range a.vars {
-		cj := a.coeffs[j]
-		ivj := p.iv(j)
-		restMin := a.k
-		okMin := true
-		for _, i := range a.vars {
-			if i == j {
-				continue
-			}
-			ci := a.coeffs[i]
-			iv := p.iv(i)
-			var term int64
-			if ci > 0 {
-				if iv.lo <= -icpInf {
-					okMin = false
-					break
-				}
-				term = satMul(ci, iv.lo)
-			} else {
-				if iv.hi >= icpInf {
-					okMin = false
-					break
-				}
-				term = satMul(ci, iv.hi)
-			}
-			restMin = satAdd(restMin, term)
-		}
-		dirty := false
-		if okMin {
-			rhs := -restMin
-			if cj > 0 {
-				if nb := floorDiv(rhs, cj); nb < ivj.hi {
-					ivj.hi = nb
-					dirty = true
-				}
-			} else {
-				if lo := ceilDivNeg(rhs, cj); lo > ivj.lo {
-					ivj.lo = lo
-					dirty = true
-				}
-			}
-		}
-		if a.kind == AtomEq {
-			restMax := a.k
-			okMax := true
-			for _, i := range a.vars {
-				if i == j {
-					continue
-				}
-				ci := a.coeffs[i]
-				iv := p.iv(i)
-				var term int64
-				if ci > 0 {
-					if iv.hi >= icpInf {
-						okMax = false
-						break
-					}
-					term = satMul(ci, iv.hi)
-				} else {
-					if iv.lo <= -icpInf {
-						okMax = false
-						break
-					}
-					term = satMul(ci, iv.lo)
-				}
-				restMax = satAdd(restMax, term)
-			}
-			if okMax {
-				rhs := -restMax
-				if cj > 0 {
-					if lo := ceilDiv(rhs, cj); lo > ivj.lo {
-						ivj.lo = lo
-						dirty = true
-					}
-				} else {
-					if hi := floorDivNeg(rhs, cj); hi < ivj.hi {
-						ivj.hi = hi
-						dirty = true
-					}
-				}
-			}
-		}
-		if dirty {
-			p.bounds[j] = ivj
-			*changed = append(*changed, j)
-		}
-		if ivj.lo > ivj.hi {
-			return true
-		}
-	}
-	return false
 }

@@ -2,8 +2,6 @@ package smt
 
 import (
 	"context"
-	"math/big"
-	"sort"
 	"time"
 
 	"pathslice/internal/faults"
@@ -90,7 +88,7 @@ type solverFrame struct {
 	sxAtoms   int
 	sxGen     int
 	icpAtoms  int
-	icpBounds map[string]interval // nil when icp did not exist at Push
+	icpBounds []interval // nil when icp did not exist at Push
 }
 
 // NewSolver returns an empty incremental solver.
@@ -118,8 +116,7 @@ func (s *Solver) addConjuncts(f logic.Formula) {
 	case logic.Bool:
 		if !f.V {
 			// An asserted contradiction: the atom 1 ≤ 0.
-			s.atoms = append(s.atoms, LinAtom{Kind: AtomLe,
-				Expr: LinExpr{Coeffs: map[string]*big.Int{}, Const: big.NewInt(1)}})
+			s.atoms = append(s.atoms, LinAtom{Kind: AtomLe, Expr: LinExpr{Const: numInt(1)}})
 		}
 	case logic.And:
 		for _, g := range f.Fs {
@@ -194,7 +191,7 @@ func (s *Solver) Pop() {
 			s.icpAtoms = 0
 		} else {
 			s.icp.truncate(fr.icpAtoms)
-			s.icp.bounds = fr.icpBounds
+			s.icp.restoreBounds(fr.icpBounds)
 			s.icpAtoms = fr.icpAtoms
 		}
 	}
@@ -317,7 +314,7 @@ func (s *Solver) solveConj(ctx context.Context, lim Limits) (Status, map[string]
 		if s.rebuild() == StatusUnsat {
 			return StatusUnsat, nil
 		}
-		st = s.sx.checkCtx(ctx, s.sx.maxPivots)
+		st = s.sx.checkCtx(ctx, maxPivots)
 	} else if st != StatusUnknown && warmAttempt {
 		mWarmStartHits.Inc()
 	}
@@ -333,17 +330,14 @@ func (s *Solver) solveConj(ctx context.Context, lim Limits) (Status, map[string]
 	// The tableau was just decided feasible above; the top-level leaf
 	// must not re-check it (preChecked) — on the hot early-stop path
 	// that second full-tableau scan would double the cost of a check.
-	st, bigModel := s.leafInc(ctx, lim, &leaves, s.nes, true)
+	st, numModel := s.leafInc(ctx, lim, &leaves, s.nes, true)
 	mLeafChecks.Add(int64(leaves))
 	if st != StatusSat {
 		return st, nil
 	}
-	model := make(map[string]int64, len(bigModel))
-	for name, v := range bigModel {
-		if !v.IsInt64() {
-			return StatusUnknown, nil
-		}
-		model[name] = v.Int64()
+	model, ok := int64Model(numModel)
+	if !ok {
+		return StatusUnknown, nil
 	}
 	if s.lin.used {
 		// Nonlinear abstraction was involved: the candidate model must
@@ -366,8 +360,8 @@ func (s *Solver) runICP() Status {
 	}
 	var seed []int
 	for ; s.icpAtoms < len(s.atoms); s.icpAtoms++ {
-		if ca, ok := convertICPAtom(s.atoms[s.icpAtoms]); ok {
-			seed = append(seed, s.icp.add(ca))
+		if i, ok := s.icp.add(s.atoms[s.icpAtoms]); ok {
+			seed = append(seed, i)
 		}
 	}
 	if len(seed) == 0 {
@@ -405,53 +399,12 @@ func (s *Solver) rebuild() Status {
 	return s.ensureRows()
 }
 
-// addAtomRow adds one normalized atom as a bounded slack row.
-func addAtomRow(sx *simplex, a LinAtom) {
-	rhs := new(big.Rat).SetInt(new(big.Int).Neg(a.Expr.Const))
-	switch a.Kind {
-	case AtomLe:
-		sx.addConstraint(a.Expr.Coeffs, nil, rhs)
-	case AtomEq:
-		sx.addConstraint(a.Expr.Coeffs, rhs, rhs)
-	}
-}
-
-// gcdInfeasible reports whether a single atom is integer-infeasible by
-// itself: a contradictory constant atom, or an equality Σ cᵢxᵢ = k
-// with gcd(cᵢ) ∤ k.
-func gcdInfeasible(a LinAtom) bool {
-	if len(a.Expr.Coeffs) == 0 {
-		if a.Kind == AtomEq {
-			return a.Expr.Const.Sign() != 0
-		}
-		return a.Expr.Const.Sign() > 0
-	}
-	if a.Kind != AtomEq {
-		return false
-	}
-	g := new(big.Int)
-	first := true
-	for _, c := range a.Expr.Coeffs {
-		if first {
-			g.Abs(c)
-			first = false
-		} else {
-			g.GCD(nil, nil, g, new(big.Int).Abs(c))
-		}
-	}
-	if g.Sign() > 0 {
-		rem := new(big.Int).Mod(new(big.Int).Neg(a.Expr.Const), g)
-		return rem.Sign() != 0
-	}
-	return false
-}
-
 // leafInc is the incremental counterpart of searcher.leaf: decide the
 // tableau, branch-and-bound for integrality, and lazily split on a
 // disequality the candidate model violates. All branching is done by
 // pushing trailed state onto the retained tableau and popping it on
 // the way out.
-func (s *Solver) leafInc(ctx context.Context, lim Limits, leaves *int, nes []neAtom, preChecked bool) (Status, map[string]*big.Int) {
+func (s *Solver) leafInc(ctx context.Context, lim Limits, leaves *int, nes []neAtom, preChecked bool) (Status, map[string]num) {
 	*leaves++
 	if *leaves > lim.MaxLeaves {
 		return StatusUnknown, nil
@@ -471,9 +424,8 @@ func (s *Solver) leafInc(ctx context.Context, lim Limits, leaves *int, nes []neA
 	if st != StatusSat {
 		return st, nil
 	}
-	var sum, tmp big.Int // scratch: the scan runs per check over every deferred disequality
 	for i, ne := range nes {
-		if linAtomHoldsScratch(ne.lt, model, &sum, &tmp) || linAtomHoldsScratch(ne.gt, model, &sum, &tmp) {
+		if linAtomHolds(ne.lt, model) || linAtomHolds(ne.gt, model) {
 			continue
 		}
 		// Violated: the model makes both sides equal. Branch on the two
@@ -504,26 +456,28 @@ func (s *Solver) leafInc(ctx context.Context, lim Limits, leaves *int, nes []neA
 
 // bbInc is branch-and-bound on the retained tableau: instead of
 // rebuilding a simplex per node (the from-scratch path), each branch
-// pushes one trailed bound, re-pivots, recurses, and pops.
-func (s *Solver) bbInc(ctx context.Context, depth int) (Status, map[string]*big.Int) {
+// pushes one trailed bound, re-pivots, recurses, and pops. It branches
+// on the smallest-named fractional variable, the from-scratch path's
+// order, for reproducible statuses.
+func (s *Solver) bbInc(ctx context.Context, depth int) (Status, map[string]num) {
 	if ctx != nil && ctx.Err() != nil {
 		return StatusUnknown, nil
 	}
-	name, frac := s.fractionalVar()
-	if name == "" {
-		return StatusSat, s.intModel()
+	name, frac, ok := s.sx.fractional()
+	if !ok {
+		return StatusSat, s.sx.model()
 	}
 	if depth <= 0 {
 		return StatusUnknown, nil
 	}
-	floor := ratFloor(frac)
-	hi := new(big.Rat).SetInt(floor)
-	lo := new(big.Rat).SetInt(new(big.Int).Add(floor, big.NewInt(1)))
-	st1, m1 := s.bbBranch(ctx, name, nil, hi, depth)
+	floor := frac.floor()
+	hi := bound{v: floor, ok: true}
+	lo := bound{v: floor.add(numInt(1)), ok: true}
+	st1, m1 := s.bbBranch(ctx, name, bound{}, hi, depth)
 	if st1 == StatusSat {
 		return st1, m1
 	}
-	st2, m2 := s.bbBranch(ctx, name, lo, nil, depth)
+	st2, m2 := s.bbBranch(ctx, name, lo, bound{}, depth)
 	if st2 == StatusSat {
 		return st2, m2
 	}
@@ -533,7 +487,7 @@ func (s *Solver) bbInc(ctx context.Context, depth int) (Status, map[string]*big.
 	return StatusUnknown, nil
 }
 
-func (s *Solver) bbBranch(ctx context.Context, name string, lo, hi *big.Rat, depth int) (Status, map[string]*big.Int) {
+func (s *Solver) bbBranch(ctx context.Context, name string, lo, hi bound, depth int) (Status, map[string]num) {
 	m := s.sx.mark()
 	defer s.sx.popTo(m)
 	if !s.sx.setBounds(name, lo, hi) {
@@ -546,33 +500,6 @@ func (s *Solver) bbBranch(ctx context.Context, name string, lo, hi *big.Rat, dep
 		return StatusUnknown, nil
 	}
 	return s.bbInc(ctx, depth-1)
-}
-
-// fractionalVar returns the lexicographically smallest named variable
-// with a fractional value (the same branching order as the
-// from-scratch path, for reproducible statuses).
-func (s *Solver) fractionalVar() (string, *big.Rat) {
-	names := make([]string, 0, len(s.sx.index))
-	for name := range s.sx.index {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := s.sx.val[s.sx.index[name]]
-		if !v.IsInt() {
-			return name, v
-		}
-	}
-	return "", nil
-}
-
-// intModel snapshots the (all-integral) named-variable values.
-func (s *Solver) intModel() map[string]*big.Int {
-	model := make(map[string]*big.Int, len(s.sx.index))
-	for name, id := range s.sx.index {
-		model[name] = new(big.Int).Set(s.sx.val[id].Num())
-	}
-	return model
 }
 
 // validateConj checks the candidate model against the original
@@ -607,11 +534,17 @@ func (s *Solver) Assertions() int { return len(s.asserted) }
 // Minimization is the standard deletion filter: drop each member in
 // turn and keep the drop when the rest stays unsat — O(n) solver calls,
 // so it is skipped (returning the full set) beyond MaxCoreCandidates.
-// Because assertions are interned, the per-member triviality test is a
-// pointer comparison rather than a serialization.
-func (s *Solver) UnsatCore() ([]logic.Formula, []int) {
+// Every trial solve runs under ctx, and once ctx is done minimization
+// stops and the current core is returned: each member dropped so far
+// was proven redundant, so it is still unsatisfiable, only less
+// minimal. Because assertions are interned, the per-member triviality
+// test is a pointer comparison rather than a serialization.
+func (s *Solver) UnsatCore(ctx context.Context) ([]logic.Formula, []int) {
 	if !s.lastUns {
 		return nil, nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	const maxCoreCandidates = 256
 	idx := make([]int, 0, len(s.asserted))
@@ -629,7 +562,7 @@ func (s *Solver) UnsatCore() ([]logic.Formula, []int) {
 		return fs, idx
 	}
 	core := idx
-	for k := 0; k < len(core); k++ {
+	for k := 0; k < len(core) && ctx.Err() == nil; k++ {
 		trial := make([]logic.Formula, 0, len(core)-1)
 		for j, i := range core {
 			if j == k {
@@ -638,7 +571,7 @@ func (s *Solver) UnsatCore() ([]logic.Formula, []int) {
 			trial = append(trial, s.asserted[i])
 		}
 		s.Checks++
-		if SolveWithLimits(logic.MkAnd(trial...), s.lim).Status == StatusUnsat {
+		if SolveCtx(ctx, logic.MkAnd(trial...), s.lim).Status == StatusUnsat {
 			core = append(core[:k], core[k+1:]...)
 			k--
 		}

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"testing"
 
 	"pathslice/internal/logic"
@@ -220,7 +221,7 @@ func TestUnsatCoreIncremental(t *testing.T) {
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatalf("got %v", r.Status)
 	}
-	fs, idx := s.UnsatCore()
+	fs, idx := s.UnsatCore(context.Background())
 	if len(fs) != 2 || len(idx) != 2 {
 		t.Fatalf("core size %d, want 2 (%v)", len(fs), idx)
 	}

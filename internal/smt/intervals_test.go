@@ -2,19 +2,26 @@ package smt
 
 import (
 	"context"
-	"math/big"
+	"math"
 	"math/rand"
 	"testing"
+
+	"pathslice/internal/logic"
 )
 
 // mkAtom builds a LinAtom Σ cᵢxᵢ + k (≤ 0 or = 0).
 func mkAtom(kind AtomKind, k int64, terms map[string]int64) LinAtom {
-	e := newLinExpr()
+	return LinAtom{Kind: kind, Expr: mkExpr(k, terms)}
+}
+
+// mkExpr builds the normalized expression Σ cᵢxᵢ + k.
+func mkExpr(k int64, terms map[string]int64) LinExpr {
+	e := LinExpr{Const: numInt(k)}
 	for v, c := range terms {
-		e.addVar(v, big.NewInt(c))
+		e.Terms = append(e.Terms, LinTerm{Var: v, Coeff: numInt(c)})
 	}
-	e.Const.SetInt64(k)
-	return LinAtom{Kind: kind, Expr: e}
+	e.normalize()
+	return e
 }
 
 func TestICPBasicContradictions(t *testing.T) {
@@ -23,7 +30,7 @@ func TestICPBasicContradictions(t *testing.T) {
 		mkAtom(AtomLe, -1, map[string]int64{"x": 1}),
 		mkAtom(AtomLe, 2, map[string]int64{"x": -1}),
 	}
-	if got := icpCheck(atoms, 0); got != StatusUnsat {
+	if got := icpCheck(atoms, internLeaf(atoms), 0); got != StatusUnsat {
 		t.Errorf("x<=1, x>=2: %s", got)
 	}
 	// x ≤ 5 ∧ x ≥ 3: satisfiable → Unknown.
@@ -31,7 +38,7 @@ func TestICPBasicContradictions(t *testing.T) {
 		mkAtom(AtomLe, -5, map[string]int64{"x": 1}),
 		mkAtom(AtomLe, 3, map[string]int64{"x": -1}),
 	}
-	if got := icpCheck(atoms, 0); got != StatusUnknown {
+	if got := icpCheck(atoms, internLeaf(atoms), 0); got != StatusUnknown {
 		t.Errorf("x in [3,5]: %s", got)
 	}
 }
@@ -44,12 +51,12 @@ func TestICPEqualityChains(t *testing.T) {
 		mkAtom(AtomEq, -1, map[string]int64{"y": 1, "x": -1}),
 		mkAtom(AtomEq, -5, map[string]int64{"y": 1}),
 	}
-	if got := icpCheck(atoms, 0); got != StatusUnsat {
+	if got := icpCheck(atoms, internLeaf(atoms), 0); got != StatusUnsat {
 		t.Errorf("chain contradiction: %s", got)
 	}
 	// Consistent version (y = 4): Unknown.
 	atoms[2] = mkAtom(AtomEq, -4, map[string]int64{"y": 1})
-	if got := icpCheck(atoms, 0); got != StatusUnknown {
+	if got := icpCheck(atoms, internLeaf(atoms), 0); got != StatusUnknown {
 		t.Errorf("consistent chain: %s", got)
 	}
 }
@@ -81,7 +88,7 @@ func TestICPNeverFalseUnsat(t *testing.T) {
 				atoms = append(atoms, mkAtom(AtomLe, -lhs-slack, terms))
 			}
 		}
-		if got := icpCheck(atoms, 0); got == StatusUnsat {
+		if got := icpCheck(atoms, internLeaf(atoms), 0); got == StatusUnsat {
 			t.Fatalf("trial %d: false UNSAT; witness %v atoms %v", trial, witness, atoms)
 		}
 	}
@@ -105,11 +112,68 @@ func TestICPAgreesWithSimplexOnRandomSystems(t *testing.T) {
 			}
 			atoms = append(atoms, mkAtom(kind, int64(r.Intn(15)-7), terms))
 		}
-		if icpCheck(atoms, 0) == StatusUnsat {
-			st, _ := branchAndBound(context.Background(), atoms, nil, 30)
+		if icpCheck(atoms, internLeaf(atoms), 0) == StatusUnsat {
+			st, _ := branchAndBound(context.Background(), atoms, internLeaf(atoms), nil, 30)
 			if st == StatusSat {
 				t.Fatalf("trial %d: ICP says unsat, simplex finds a model; atoms %v", trial, atoms)
 			}
+		}
+	}
+}
+
+// TestICPNeverFalseUnsatAtWordBoundary: constants, coefficients and
+// sums of bounds beyond icpInf must widen, never narrow, the derived
+// bounds. Each system is satisfiable (witness in the comment), so
+// neither icpCheck nor either solver may answer Unsat.
+func TestICPNeverFalseUnsatAtWordBoundary(t *testing.T) {
+	const b = int64(1) << 55
+	x, y1, y2, y3, z := v("x"), v("y1"), v("y2"), v("y3"), v("z")
+	cases := []struct {
+		name    string
+		atoms   []LinAtom
+		formula logic.Formula
+	}{
+		{
+			name:    "x + MinInt64 <= 0 (x = 0)",
+			atoms:   []LinAtom{mkAtom(AtomLe, math.MinInt64, map[string]int64{"x": 1})},
+			formula: le(add(x, c(math.MinInt64)), c(0)),
+		},
+		{
+			name: "MinInt64*x - 1 <= 0, x <= 0 (x = 0)",
+			atoms: []LinAtom{
+				mkAtom(AtomLe, -1, map[string]int64{"x": math.MinInt64}),
+				mkAtom(AtomLe, 0, map[string]int64{"x": 1}),
+			},
+			formula: logic.MkAnd(le(sub(mul(c(math.MinInt64), x), c(1)), c(0)), le(x, c(0))),
+		},
+		{
+			// The bounds of y1+y2+y3 sum past icpInf.
+			name: "2z <= y1+y2+y3, yi <= 2^55, z >= 2^55+1 (yi = 2^55, z = 2^55+1)",
+			atoms: []LinAtom{
+				mkAtom(AtomLe, -b, map[string]int64{"y1": 1}),
+				mkAtom(AtomLe, -b, map[string]int64{"y2": 1}),
+				mkAtom(AtomLe, -b, map[string]int64{"y3": 1}),
+				mkAtom(AtomLe, 0, map[string]int64{"z": 2, "y1": -1, "y2": -1, "y3": -1}),
+				mkAtom(AtomLe, b+1, map[string]int64{"z": -1}),
+			},
+			formula: logic.MkAnd(
+				le(y1, c(b)), le(y2, c(b)), le(y3, c(b)),
+				le(mul(c(2), z), add(add(y1, y2), y3)),
+				ge(z, c(b+1)),
+			),
+		},
+	}
+	for _, tc := range cases {
+		if got := icpCheck(tc.atoms, internLeaf(tc.atoms), 0); got == StatusUnsat {
+			t.Errorf("%s: icpCheck refutes a satisfiable system", tc.name)
+		}
+		if r := Solve(tc.formula); r.Status != StatusSat {
+			t.Errorf("%s: Solve = %s, want sat", tc.name, r.Status)
+		}
+		s := NewSolver()
+		s.Assert(tc.formula)
+		if r := s.Check(); r.Status != StatusSat {
+			t.Errorf("%s: incremental Check = %s, want sat", tc.name, r.Status)
 		}
 	}
 }
@@ -132,9 +196,6 @@ func TestSaturationHelpers(t *testing.T) {
 	}
 	if ceilDiv(7, 2) != 4 || ceilDiv(-7, 2) != -3 {
 		t.Error("ceilDiv")
-	}
-	if !bigIsInt64(big.NewInt(42)) {
-		t.Error("bigIsInt64")
 	}
 }
 

@@ -4,13 +4,22 @@
 //
 // Architecture:
 //
+//   - num.go is the exact rational every layer below computes in: a
+//     reduced int64 fraction while an operation's result provably fits
+//     a machine word, a big.Rat otherwise (re-inlined once it fits
+//     again). Nothing rounds or saturates, so every comparison, pivot
+//     and model is the one math/big would give;
 //   - linearize.go turns comparison atoms into normalized linear
-//     constraints Σ cᵢ·xᵢ ≤ k / = k over integers, abstracting
-//     nonlinear subterms (x*y, x/y, x%y with non-constant operands)
-//     into fresh variables with structural sharing;
+//     constraints Σ cᵢ·xᵢ ≤ k / = k over integers, as term slices
+//     sorted by variable name, abstracting nonlinear subterms (x*y,
+//     x/y, x%y with non-constant operands) into fresh variables with
+//     structural sharing;
+//   - intervals.go is a sound int64 interval-propagation pre-filter
+//     that refutes most trace conjunctions before the simplex runs;
 //   - simplex.go is a Dutertre–de Moura style general simplex over
-//     exact rationals deciding conjunctions, with branch-and-bound for
-//     integrality;
+//     those exact rationals, with values, bounds and sparse rows in
+//     slices indexed by dense variable ids, deciding conjunctions with
+//     branch-and-bound for integrality;
 //   - solve.go performs semantic case-splitting over the boolean
 //     structure with eager theory pruning, plus model validation
 //     against the original formula whenever abstraction was used.
@@ -29,54 +38,55 @@
 package smt
 
 import (
+	"cmp"
 	"fmt"
-	"math/big"
-	"sort"
+	"slices"
 	"strings"
 
 	"pathslice/internal/logic"
 )
 
+// LinTerm is one coefficient·variable summand of a LinExpr.
+type LinTerm struct {
+	Var   string
+	Coeff num
+}
+
 // LinExpr is a linear expression Σ coeff·var + Const over integers.
+// Terms are sorted by variable name, name each variable once, and have
+// nonzero coefficients, so consumers read them in order with no sort
+// and no map walk.
 type LinExpr struct {
-	Coeffs map[string]*big.Int
-	Const  *big.Int
+	Terms []LinTerm
+	Const num
 }
 
-func newLinExpr() LinExpr {
-	return LinExpr{Coeffs: make(map[string]*big.Int), Const: big.NewInt(0)}
-}
-
-func (e LinExpr) addVar(name string, c *big.Int) {
-	if cur, ok := e.Coeffs[name]; ok {
-		cur.Add(cur, c)
-		if cur.Sign() == 0 {
-			delete(e.Coeffs, name)
+// normalize sorts the terms by name, merges repeated variables and
+// drops zero coefficients.
+func (e *LinExpr) normalize() {
+	slices.SortFunc(e.Terms, func(a, b LinTerm) int { return cmp.Compare(a.Var, b.Var) })
+	out := e.Terms[:0]
+	for _, t := range e.Terms {
+		if n := len(out); n > 0 && out[n-1].Var == t.Var {
+			out[n-1].Coeff = out[n-1].Coeff.add(t.Coeff)
+			continue
 		}
-		return
+		out = append(out, t)
 	}
-	if c.Sign() != 0 {
-		e.Coeffs[name] = new(big.Int).Set(c)
+	kept := out[:0]
+	for _, t := range out {
+		if t.Coeff.sign() != 0 {
+			kept = append(kept, t)
+		}
 	}
-}
-
-func (e LinExpr) add(other LinExpr, scale *big.Int) {
-	for v, c := range other.Coeffs {
-		e.addVar(v, new(big.Int).Mul(c, scale))
-	}
-	e.Const.Add(e.Const, new(big.Int).Mul(other.Const, scale))
+	e.Terms = kept
 }
 
 // String renders the expression deterministically.
 func (e LinExpr) String() string {
-	vars := make([]string, 0, len(e.Coeffs))
-	for v := range e.Coeffs {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
 	var b strings.Builder
-	for _, v := range vars {
-		fmt.Fprintf(&b, "%s*%s + ", e.Coeffs[v], v)
+	for _, t := range e.Terms {
+		fmt.Fprintf(&b, "%s*%s + ", t.Coeff, t.Var)
 	}
 	fmt.Fprintf(&b, "%s", e.Const)
 	return b.String()
@@ -134,19 +144,21 @@ func (l *linearizer) abstractTerm(t logic.Term) string {
 
 // term linearizes t, abstracting nonlinear parts.
 func (l *linearizer) term(t logic.Term) LinExpr {
-	e := newLinExpr()
-	l.addTerm(e, t, big.NewInt(1))
+	var e LinExpr
+	l.addTerm(&e, t, numInt(1))
+	e.normalize()
 	return e
 }
 
-func (l *linearizer) addTerm(e LinExpr, t logic.Term, scale *big.Int) {
+// addTerm adds scale·t to e; the caller normalizes e afterwards.
+func (l *linearizer) addTerm(e *LinExpr, t logic.Term, scale num) {
 	switch t := t.(type) {
 	case logic.Const:
-		e.Const.Add(e.Const, new(big.Int).Mul(big.NewInt(t.V), scale))
+		e.Const = e.Const.add(numInt(t.V).mul(scale))
 	case logic.Var:
-		e.addVar(t.Name, scale)
+		e.Terms = append(e.Terms, LinTerm{Var: t.Name, Coeff: scale})
 	case logic.Neg:
-		l.addTerm(e, t.X, new(big.Int).Neg(scale))
+		l.addTerm(e, t.X, scale.neg())
 	case logic.Bin:
 		switch t.Op {
 		case logic.OpAdd:
@@ -154,64 +166,66 @@ func (l *linearizer) addTerm(e LinExpr, t logic.Term, scale *big.Int) {
 			l.addTerm(e, t.Y, scale)
 		case logic.OpSub:
 			l.addTerm(e, t.X, scale)
-			l.addTerm(e, t.Y, new(big.Int).Neg(scale))
+			l.addTerm(e, t.Y, scale.neg())
 		case logic.OpMul:
 			// Multiplication by a constant side stays linear.
 			if c, ok := constTerm(t.X); ok {
-				l.addTerm(e, t.Y, new(big.Int).Mul(scale, c))
+				l.addTerm(e, t.Y, scale.mul(c))
 				return
 			}
 			if c, ok := constTerm(t.Y); ok {
-				l.addTerm(e, t.X, new(big.Int).Mul(scale, c))
+				l.addTerm(e, t.X, scale.mul(c))
 				return
 			}
-			e.addVar(l.abstractTerm(t), scale)
+			e.Terms = append(e.Terms, LinTerm{Var: l.abstractTerm(t), Coeff: scale})
 		default: // Div, Mod: abstract
-			e.addVar(l.abstractTerm(t), scale)
+			e.Terms = append(e.Terms, LinTerm{Var: l.abstractTerm(t), Coeff: scale})
 		}
 	default:
-		e.addVar(l.abstractTerm(t), scale)
+		e.Terms = append(e.Terms, LinTerm{Var: l.abstractTerm(t), Coeff: scale})
 	}
 }
 
 // constTerm evaluates a closed term to a constant if possible.
-func constTerm(t logic.Term) (*big.Int, bool) {
+func constTerm(t logic.Term) (num, bool) {
 	switch t := t.(type) {
 	case logic.Const:
-		return big.NewInt(t.V), true
+		return numInt(t.V), true
 	case logic.Neg:
 		if c, ok := constTerm(t.X); ok {
-			return new(big.Int).Neg(c), true
+			return c.neg(), true
 		}
 	case logic.Bin:
 		x, okx := constTerm(t.X)
 		if !okx {
-			return nil, false
+			return num{}, false
 		}
 		y, oky := constTerm(t.Y)
 		if !oky {
-			return nil, false
+			return num{}, false
 		}
 		switch t.Op {
 		case logic.OpAdd:
-			return new(big.Int).Add(x, y), true
+			return x.add(y), true
 		case logic.OpSub:
-			return new(big.Int).Sub(x, y), true
+			return x.sub(y), true
 		case logic.OpMul:
-			return new(big.Int).Mul(x, y), true
+			return x.mul(y), true
 		case logic.OpDiv:
-			if y.Sign() == 0 {
-				return nil, false
+			if y.sign() == 0 {
+				return num{}, false
 			}
-			return new(big.Int).Quo(x, y), true
+			q, _ := truncQuoRem(x, y)
+			return q, true
 		case logic.OpMod:
-			if y.Sign() == 0 {
-				return nil, false
+			if y.sign() == 0 {
+				return num{}, false
 			}
-			return new(big.Int).Rem(x, y), true
+			_, r := truncQuoRem(x, y)
+			return r, true
 		}
 	}
-	return nil, false
+	return num{}, false
 }
 
 // cmpResult is the linearization of a comparison: either one or two
@@ -229,10 +243,11 @@ type cmpResult struct {
 //	x != y  ⇒  (x - y + 1 ≤ 0) ∨ (y - x + 1 ≤ 0)
 func (l *linearizer) cmp(c logic.Cmp) cmpResult {
 	diff := func(a, b logic.Term, plus int64) LinExpr {
-		e := newLinExpr()
-		l.addTerm(e, a, big.NewInt(1))
-		l.addTerm(e, b, big.NewInt(-1))
-		e.Const.Add(e.Const, big.NewInt(plus))
+		var e LinExpr
+		l.addTerm(&e, a, numInt(1))
+		l.addTerm(&e, b, numInt(-1))
+		e.Const = e.Const.add(numInt(plus))
+		e.normalize()
 		return e
 	}
 	switch c.Op {

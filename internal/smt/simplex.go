@@ -1,9 +1,10 @@
 package smt
 
 import (
+	"cmp"
 	"context"
 	"math/big"
-	"sort"
+	"slices"
 )
 
 // Status is a solver verdict.
@@ -29,22 +30,24 @@ func (s Status) String() string {
 	return "?"
 }
 
+// maxPivots bounds the pivots of one tableau's checks.
+const maxPivots = 200000
+
 // simplex is a Dutertre–de Moura style general simplex over exact
 // rationals: every constraint is a slack variable defined by a linear
 // row and constrained by bounds; the tableau is pivoted until all
 // basic variables respect their bounds or a conflict is found.
+//
+// Variables are dense ids into one slice. Values and bounds are nums,
+// and each basic variable's row is a slice of (column, coefficient)
+// entries sorted by column, so both halves of Bland's rule — the
+// smallest violating basic variable, the smallest eligible nonbasic —
+// are forward scans that stop at the first hit.
 type simplex struct {
-	names []string       // var id -> name ("" for slacks)
+	vars  []svar
 	index map[string]int // name -> var id
 
-	lower, upper []*big.Rat // nil = unbounded
-	val          []*big.Rat
-
-	rows    map[int]map[int]*big.Rat // basic var -> {nonbasic var -> coeff}
-	isBasic []bool
-
-	pivots    int
-	maxPivots int
+	pivots int // pivots so far; check stops at maxPivots
 
 	// Trail-based backtracking for the incremental solver: when
 	// recording, every bound assignment is logged so popTo can undo it.
@@ -57,6 +60,30 @@ type simplex struct {
 	// into retained rows.
 	recording bool
 	trail     []boundChange
+
+	arena   []entry // unused tail of the block new rows are cut from
+	scratch []entry // merge buffer for pivot substitutions
+}
+
+// svar is one tableau variable: a slack, or a named variable of index.
+type svar struct {
+	lower, upper bound
+	val          num
+	basic        bool
+	row          []entry // when basic: val = Σ c·val[col]
+}
+
+// bound is one side of a variable's interval; ok is false when that
+// side is unbounded.
+type bound struct {
+	v  num
+	ok bool
+}
+
+// entry is one nonzero coefficient of a row.
+type entry struct {
+	col int
+	c   num
 }
 
 // boundChange is one undo record: variable x's lower (side 0) or upper
@@ -64,7 +91,7 @@ type simplex struct {
 type boundChange struct {
 	x    int
 	side int8
-	old  *big.Rat
+	old  bound
 }
 
 // mark returns the current trail position for a later popTo.
@@ -76,156 +103,240 @@ func (s *simplex) popTo(mark int) {
 	for i := len(s.trail) - 1; i >= mark; i-- {
 		c := s.trail[i]
 		if c.side == 0 {
-			s.lower[c.x] = c.old
+			s.vars[c.x].lower = c.old
 		} else {
-			s.upper[c.x] = c.old
+			s.vars[c.x].upper = c.old
 		}
 	}
 	s.trail = s.trail[:mark]
 }
 
+// newSimplex returns an empty tableau that grows one variable at a
+// time (the incremental solver's).
 func newSimplex() *simplex {
-	return &simplex{
-		index:     make(map[string]int),
-		rows:      make(map[int]map[int]*big.Rat),
-		maxPivots: 200000,
+	return &simplex{index: make(map[string]int)}
+}
+
+// leafVars are the variables of a conjunction, interned once per leaf
+// in tableau id order: each atom's slack, then the atom's names not
+// seen before, in sorted order — the ids addConstraint would hand out
+// one at a time. Interval propagation and every branch-and-bound
+// tableau share them.
+type leafVars struct {
+	index    map[string]int
+	nvars    int // slacks included
+	nentries int // row entries: Σ terms over the atoms
+}
+
+func internLeaf(atoms []LinAtom) leafVars {
+	lv := leafVars{index: make(map[string]int)}
+	for _, a := range atoms {
+		lv.nvars++ // the atom's slack
+		for _, t := range a.Expr.Terms {
+			if _, ok := lv.index[t.Var]; !ok {
+				lv.index[t.Var] = lv.nvars
+				lv.nvars++
+			}
+		}
+		lv.nentries += len(a.Expr.Terms)
 	}
+	return lv
+}
+
+// newSimplexFor returns a tableau holding one slack row per atom, each
+// slice sized once from lv. The tableau reads lv.index and never
+// writes it: every name it is asked about is interned there.
+func newSimplexFor(atoms []LinAtom, lv leafVars) *simplex {
+	sx := &simplex{
+		vars:  make([]svar, 0, lv.nvars),
+		index: lv.index,
+		arena: make([]entry, 0, lv.nentries),
+	}
+	for _, a := range atoms {
+		addAtomRow(sx, a)
+	}
+	return sx
 }
 
 func (s *simplex) varOf(name string) int {
-	if id, ok := s.index[name]; ok {
-		return id
+	id, ok := s.index[name]
+	if !ok {
+		id = len(s.vars)
+		s.index[name] = id
 	}
-	id := s.newVar(name)
-	s.index[name] = id
+	if id == len(s.vars) {
+		// First use of a new name, or of one newSimplexFor interned
+		// ahead at exactly this id.
+		s.newVar()
+	}
 	return id
 }
 
-func (s *simplex) newVar(name string) int {
-	id := len(s.names)
-	s.names = append(s.names, name)
-	s.lower = append(s.lower, nil)
-	s.upper = append(s.upper, nil)
-	s.val = append(s.val, new(big.Rat))
-	s.isBasic = append(s.isBasic, false)
-	return id
+func (s *simplex) newVar() int {
+	s.vars = append(s.vars, svar{})
+	return len(s.vars) - 1
 }
 
-// addConstraint introduces a slack variable s = Σ coeffs·x with the
-// given bounds (nil for unbounded sides) and returns its id.
-func (s *simplex) addConstraint(coeffs map[string]*big.Int, lo, hi *big.Rat) int {
-	slack := s.newVar("")
-	row := make(map[int]*big.Rat, len(coeffs))
-	v := new(big.Rat)
-	// Sorted iteration: varOf interns ids in first-seen order and
-	// Bland's rule pivots on the smallest id, so the iteration order
-	// here decides the pivot sequence — and with it whether a borderline
-	// instance exhausts maxPivots (Unknown) or finishes. Keep it
-	// deterministic so solver statuses are reproducible across runs.
-	names := make([]string, 0, len(coeffs))
-	for name := range coeffs {
-		names = append(names, name)
+// addAtomRow adds one normalized atom as a bounded slack row.
+func addAtomRow(sx *simplex, a LinAtom) {
+	rhs := bound{v: a.Expr.Const.neg(), ok: true}
+	switch a.Kind {
+	case AtomLe:
+		sx.addConstraint(a.Expr.Terms, bound{}, rhs)
+	case AtomEq:
+		sx.addConstraint(a.Expr.Terms, rhs, rhs)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := coeffs[name]
-		x := s.varOf(name)
-		cr := new(big.Rat).SetInt(c)
-		if s.isBasic[x] {
-			// Substitute the basic variable's row.
-			for y, cy := range s.rows[x] {
-				addInto(row, y, new(big.Rat).Mul(cr, cy))
+}
+
+// addConstraint introduces a slack variable s = Σ coeff·var with the
+// given bounds and returns its id.
+func (s *simplex) addConstraint(terms []LinTerm, lo, hi bound) int {
+	slack := s.newVar()
+	// The terms arrive sorted by name: varOf interns ids in first-seen
+	// order and Bland's rule pivots on the smallest id, so this order
+	// decides the pivot sequence — and with it whether a borderline
+	// instance exhausts maxPivots (Unknown) or finishes. It keeps
+	// solver statuses reproducible across runs.
+	row := s.cut(len(terms))
+	substitute := false
+	for i, t := range terms {
+		x := s.varOf(t.Var)
+		row[i] = entry{col: x, c: t.Coeff}
+		substitute = substitute || s.vars[x].basic
+	}
+	var v num
+	for _, e := range row {
+		v = v.add(e.c.mul(s.vars[e.col].val))
+	}
+	if substitute {
+		// Substitute each basic variable's row.
+		var sub []entry
+		for _, e := range row {
+			if xv := &s.vars[e.col]; xv.basic {
+				for _, f := range xv.row {
+					sub = rowAdd(sub, f.col, e.c.mul(f.c))
+				}
+			} else {
+				sub = rowAdd(sub, e.col, e.c)
 			}
-			v.Add(v, new(big.Rat).Mul(cr, s.val[x]))
-			continue
 		}
-		addInto(row, x, cr)
-		v.Add(v, new(big.Rat).Mul(cr, s.val[x]))
+		row = sub
+	} else {
+		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
 	}
-	s.rows[slack] = row
-	s.isBasic[slack] = true
-	s.val[slack] = v
+	sv := &s.vars[slack]
+	sv.row, sv.basic, sv.val = row, true, v
 	if s.recording {
-		if lo != nil {
+		if lo.ok {
 			s.trail = append(s.trail, boundChange{x: slack, side: 0})
 		}
-		if hi != nil {
+		if hi.ok {
 			s.trail = append(s.trail, boundChange{x: slack, side: 1})
 		}
 	}
-	s.lower[slack] = lo
-	s.upper[slack] = hi
+	sv.lower, sv.upper = lo, hi
 	return slack
 }
 
-func addInto(row map[int]*big.Rat, x int, c *big.Rat) {
-	if cur, ok := row[x]; ok {
-		cur.Add(cur, c)
-		if cur.Sign() == 0 {
-			delete(row, x)
+// cut returns a fresh row of n entries from the arena, with capacity n
+// so that growing it never reaches a neighbour.
+func (s *simplex) cut(n int) []entry {
+	if cap(s.arena)-len(s.arena) < n {
+		s.arena = make([]entry, 0, max(n, 64))
+	}
+	start := len(s.arena)
+	s.arena = s.arena[:start+n]
+	return s.arena[start : start+n : start+n]
+}
+
+// rowAdd adds c to the coefficient of column x, keeping the row sorted
+// and free of zeros.
+func rowAdd(row []entry, x int, c num) []entry {
+	i, found := slices.BinarySearchFunc(row, x, cmpCol)
+	if found {
+		if sum := row[i].c.add(c); sum.sign() != 0 {
+			row[i].c = sum
+		} else {
+			row = slices.Delete(row, i, i+1)
 		}
-		return
+		return row
 	}
-	if c.Sign() != 0 {
-		row[x] = c
+	if c.sign() == 0 {
+		return row
 	}
+	return slices.Insert(row, i, entry{col: x, c: c})
+}
+
+func cmpCol(e entry, x int) int { return cmp.Compare(e.col, x) }
+
+// coef returns the coefficient of column x in row.
+func coef(row []entry, x int) (num, bool) {
+	if i, found := slices.BinarySearchFunc(row, x, cmpCol); found {
+		return row[i].c, true
+	}
+	return num{}, false
 }
 
 // setBounds tightens the bounds of a named variable; it reports false
 // on an immediately empty interval.
-func (s *simplex) setBounds(name string, lo, hi *big.Rat) bool {
+func (s *simplex) setBounds(name string, lo, hi bound) bool {
 	x := s.varOf(name)
-	if lo != nil && (s.lower[x] == nil || lo.Cmp(s.lower[x]) > 0) {
+	v := &s.vars[x]
+	if lo.ok && (!v.lower.ok || lo.v.cmp(v.lower.v) > 0) {
 		if s.recording {
-			s.trail = append(s.trail, boundChange{x: x, side: 0, old: s.lower[x]})
+			s.trail = append(s.trail, boundChange{x: x, side: 0, old: v.lower})
 		}
-		s.lower[x] = lo
+		v.lower = lo
 	}
-	if hi != nil && (s.upper[x] == nil || hi.Cmp(s.upper[x]) < 0) {
+	if hi.ok && (!v.upper.ok || hi.v.cmp(v.upper.v) < 0) {
 		if s.recording {
-			s.trail = append(s.trail, boundChange{x: x, side: 1, old: s.upper[x]})
+			s.trail = append(s.trail, boundChange{x: x, side: 1, old: v.upper})
 		}
-		s.upper[x] = hi
+		v.upper = hi
 	}
-	if s.lower[x] != nil && s.upper[x] != nil && s.lower[x].Cmp(s.upper[x]) > 0 {
+	if v.lower.ok && v.upper.ok && v.lower.v.cmp(v.upper.v) > 0 {
 		return false
 	}
-	if !s.isBasic[x] {
+	if !v.basic {
 		// Clamp the nonbasic value into its bounds.
-		if s.lower[x] != nil && s.val[x].Cmp(s.lower[x]) < 0 {
-			s.update(x, s.lower[x])
-		} else if s.upper[x] != nil && s.val[x].Cmp(s.upper[x]) > 0 {
-			s.update(x, s.upper[x])
+		if v.lower.ok && v.val.cmp(v.lower.v) < 0 {
+			s.update(x, v.lower.v)
+		} else if v.upper.ok && v.val.cmp(v.upper.v) > 0 {
+			s.update(x, v.upper.v)
 		}
 	}
 	return true
 }
 
 // update sets nonbasic variable x to v, adjusting all basic values.
-func (s *simplex) update(x int, v *big.Rat) {
-	delta := new(big.Rat).Sub(v, s.val[x])
-	for b, row := range s.rows {
-		if c, ok := row[x]; ok {
-			s.val[b] = new(big.Rat).Add(s.val[b], new(big.Rat).Mul(c, delta))
+func (s *simplex) update(x int, v num) {
+	delta := v.sub(s.vars[x].val)
+	for b := range s.vars {
+		sb := &s.vars[b]
+		if !sb.basic {
+			continue
+		}
+		if c, ok := coef(sb.row, x); ok {
+			sb.val = sb.val.add(c.mul(delta))
 		}
 	}
-	s.val[x] = new(big.Rat).Set(v)
+	s.vars[x].val = v
 }
 
 // pivotAndUpdate makes basic b take value v by adjusting nonbasic x,
 // then swaps their roles.
-func (s *simplex) pivotAndUpdate(b, x int, v *big.Rat) {
-	a := s.rows[b][x]
-	theta := new(big.Rat).Sub(v, s.val[b])
-	theta.Quo(theta, a)
-	s.val[b] = new(big.Rat).Set(v)
-	s.val[x] = new(big.Rat).Add(s.val[x], theta)
-	for b2, row := range s.rows {
-		if b2 == b {
+func (s *simplex) pivotAndUpdate(b, x int, v num) {
+	a, _ := coef(s.vars[b].row, x)
+	theta := v.sub(s.vars[b].val).quo(a)
+	s.vars[b].val = v
+	s.vars[x].val = s.vars[x].val.add(theta)
+	for b2 := range s.vars {
+		sb := &s.vars[b2]
+		if !sb.basic || b2 == b {
 			continue
 		}
-		if c, ok := row[x]; ok {
-			s.val[b2] = new(big.Rat).Add(s.val[b2], new(big.Rat).Mul(c, theta))
+		if c, ok := coef(sb.row, x); ok {
+			sb.val = sb.val.add(c.mul(theta))
 		}
 	}
 	s.pivot(b, x)
@@ -233,44 +344,62 @@ func (s *simplex) pivotAndUpdate(b, x int, v *big.Rat) {
 
 // pivot swaps basic b with nonbasic x.
 func (s *simplex) pivot(b, x int) {
-	row := s.rows[b]
-	a := row[x]
-	// x = (1/a)·b - Σ_{y≠x} (c_y/a)·y
-	newRow := make(map[int]*big.Rat, len(row))
-	inv := new(big.Rat).Inv(a)
-	newRow[b] = inv
-	for y, c := range row {
-		if y == x {
-			continue
-		}
-		nc := new(big.Rat).Mul(c, inv)
-		nc.Neg(nc)
-		newRow[y] = nc
+	// x = (1/a)·b - Σ_{y≠x} (c_y/a)·y, built in b's row slice: x's entry
+	// leaves and b's enters, so the length is unchanged.
+	row := s.vars[b].row
+	i, _ := slices.BinarySearchFunc(row, x, cmpCol)
+	inv := numInt(1).quo(row[i].c)
+	row = slices.Delete(row, i, i+1)
+	for k := range row {
+		row[k].c = row[k].c.mul(inv).neg()
 	}
-	delete(s.rows, b)
-	s.isBasic[b] = false
-	s.rows[x] = newRow
-	s.isBasic[x] = true
+	j, _ := slices.BinarySearchFunc(row, b, cmpCol)
+	row = slices.Insert(row, j, entry{col: b, c: inv})
+	s.vars[b].row, s.vars[b].basic = nil, false
+	s.vars[x].row, s.vars[x].basic = row, true
 	// Substitute x in every other row.
-	for b2, row2 := range s.rows {
-		if b2 == x {
+	for b2 := range s.vars {
+		sb := &s.vars[b2]
+		if !sb.basic || b2 == x {
 			continue
 		}
-		c, ok := row2[x]
-		if !ok {
-			continue
-		}
-		delete(row2, x)
-		for y, cy := range newRow {
-			addInto(row2, y, new(big.Rat).Mul(c, cy))
+		if c, ok := coef(sb.row, x); ok {
+			sb.row = s.substitute(sb.row, x, c, row)
 		}
 	}
+}
+
+// substitute returns row with its column x (coefficient c) replaced by
+// c·def, where def is x's defining row; row's storage is reused.
+func (s *simplex) substitute(row []entry, x int, c num, def []entry) []entry {
+	out := s.scratch[:0]
+	i, j := 0, 0
+	for i < len(row) || j < len(def) {
+		switch {
+		case j == len(def) || (i < len(row) && row[i].col < def[j].col):
+			if row[i].col != x {
+				out = append(out, row[i])
+			}
+			i++
+		case i == len(row) || def[j].col < row[i].col:
+			out = append(out, entry{col: def[j].col, c: c.mul(def[j].c)})
+			j++
+		default:
+			if sum := row[i].c.add(c.mul(def[j].c)); sum.sign() != 0 {
+				out = append(out, entry{col: row[i].col, c: sum})
+			}
+			i++
+			j++
+		}
+	}
+	s.scratch = out
+	return append(row[:0], out...)
 }
 
 // check runs the simplex main loop with Bland's rule; it returns
 // StatusSat, StatusUnsat, or StatusUnknown on pivot exhaustion.
 func (s *simplex) check() Status {
-	return s.checkCtx(nil, s.maxPivots-s.pivots)
+	return s.checkCtx(nil, maxPivots-s.pivots)
 }
 
 // checkCtx is check with a per-call pivot budget and cooperative
@@ -292,57 +421,71 @@ func (s *simplex) checkCtx(ctx context.Context, budget int) Status {
 		if ctx != nil && pivots&31 == 0 && ctx.Err() != nil {
 			return StatusUnknown
 		}
+		// Bland's rule: the smallest violating basic variable.
 		b := -1
 		below := false
-		// Bland's rule: smallest violating basic variable. A direct
-		// min-scan (no sort, no allocation) — equivalent to sorting and
-		// taking the first violation, but this runs once per pivot on
-		// the incremental hot path, so the constant matters.
-		for id := range s.rows {
-			if b >= 0 && id >= b {
+		for id := range s.vars {
+			v := &s.vars[id]
+			if !v.basic {
 				continue
 			}
-			if s.lower[id] != nil && s.val[id].Cmp(s.lower[id]) < 0 {
+			if v.lower.ok && v.val.cmp(v.lower.v) < 0 {
 				b, below = id, true
-			} else if s.upper[id] != nil && s.val[id].Cmp(s.upper[id]) > 0 {
+				break
+			}
+			if v.upper.ok && v.val.cmp(v.upper.v) > 0 {
 				b, below = id, false
+				break
 			}
 		}
 		if b < 0 {
 			return StatusSat
 		}
-		row := s.rows[b]
-		// Smallest eligible nonbasic, again by direct min-scan.
+		// The smallest eligible nonbasic in b's row.
 		x := -1
-		for y, c := range row {
-			if x >= 0 && y >= x {
-				continue
-			}
-			if below {
-				// Need to increase val[b]: increase y when c>0 (y below
-				// upper), or decrease y when c<0 (y above lower).
-				if c.Sign() > 0 && (s.upper[y] == nil || s.val[y].Cmp(s.upper[y]) < 0) {
-					x = y
-				} else if c.Sign() < 0 && (s.lower[y] == nil || s.val[y].Cmp(s.lower[y]) > 0) {
-					x = y
+		for _, e := range s.vars[b].row {
+			// Below its lower bound b must increase: raise y when c>0,
+			// lower it when c<0; above its upper bound, the reverse.
+			y := &s.vars[e.col]
+			if (e.c.sign() > 0) == below {
+				if !y.upper.ok || y.val.cmp(y.upper.v) < 0 {
+					x = e.col
+					break
 				}
-			} else {
-				if c.Sign() < 0 && (s.upper[y] == nil || s.val[y].Cmp(s.upper[y]) < 0) {
-					x = y
-				} else if c.Sign() > 0 && (s.lower[y] == nil || s.val[y].Cmp(s.lower[y]) > 0) {
-					x = y
-				}
+			} else if !y.lower.ok || y.val.cmp(y.lower.v) > 0 {
+				x = e.col
+				break
 			}
 		}
 		if x < 0 {
 			return StatusUnsat
 		}
 		if below {
-			s.pivotAndUpdate(b, x, s.lower[b])
+			s.pivotAndUpdate(b, x, s.vars[b].lower.v)
 		} else {
-			s.pivotAndUpdate(b, x, s.upper[b])
+			s.pivotAndUpdate(b, x, s.vars[b].upper.v)
 		}
 	}
+}
+
+// fractional returns the smallest-named variable whose value is not an
+// integer; ok is false when every named value is integral.
+func (s *simplex) fractional() (name string, v num, ok bool) {
+	for n, id := range s.index {
+		if val := s.vars[id].val; !val.isInt() && (!ok || n < name) {
+			name, v, ok = n, val, true
+		}
+	}
+	return name, v, ok
+}
+
+// model returns the values of the named variables.
+func (s *simplex) model() map[string]num {
+	m := make(map[string]num, len(s.index))
+	for name, id := range s.index {
+		m[name] = s.vars[id].val
+	}
+	return m
 }
 
 // ---------------------------------------------------------------------------
@@ -350,15 +493,14 @@ func (s *simplex) checkCtx(ctx context.Context, budget int) Status {
 
 // extraBound is a branch-and-bound bound added on one variable.
 type extraBound struct {
-	name string
-	lo   *big.Rat
-	hi   *big.Rat
+	name   string
+	lo, hi bound
 }
 
 // checkConj decides a conjunction of linear atoms over the integers.
 // On StatusSat the returned model assigns integer values to every
 // named variable of the atoms.
-func checkConj(atoms []LinAtom, maxDepth int) (Status, map[string]*big.Int) {
+func checkConj(atoms []LinAtom, maxDepth int) (Status, map[string]num) {
 	return checkConjCtx(nil, atoms, maxDepth)
 }
 
@@ -366,59 +508,29 @@ func checkConj(atoms []LinAtom, maxDepth int) (Status, map[string]*big.Int) {
 // branch-and-bound tree polls ctx at every node and degrades to
 // StatusUnknown once it is cancelled, so a single deep integrality
 // search cannot outlive the caller's deadline.
-func checkConjCtx(ctx context.Context, atoms []LinAtom, maxDepth int) (Status, map[string]*big.Int) {
+func checkConjCtx(ctx context.Context, atoms []LinAtom, maxDepth int) (Status, map[string]num) {
+	lv := internLeaf(atoms)
 	// Fast sound pre-filters: interval propagation catches most
 	// contradictions from trace formulas (constant chains vs branch
 	// guards) without touching the simplex.
-	if icpCheck(atoms, 0) == StatusUnsat {
+	if icpCheck(atoms, lv, 0) == StatusUnsat {
 		return StatusUnsat, nil
 	}
 	// Quick GCD test for equalities: Σ cᵢxᵢ = k with gcd(cᵢ) ∤ k is
 	// integer-infeasible even when rationally feasible.
 	for _, a := range atoms {
-		if a.Kind != AtomEq || len(a.Expr.Coeffs) == 0 {
-			if a.Kind == AtomEq && len(a.Expr.Coeffs) == 0 && a.Expr.Const.Sign() != 0 {
-				return StatusUnsat, nil
-			}
-			if a.Kind == AtomLe && len(a.Expr.Coeffs) == 0 && a.Expr.Const.Sign() > 0 {
-				return StatusUnsat, nil
-			}
-			continue
-		}
-		g := new(big.Int)
-		first := true
-		for _, c := range a.Expr.Coeffs {
-			if first {
-				g.Abs(c)
-				first = false
-			} else {
-				g.GCD(nil, nil, g, new(big.Int).Abs(c))
-			}
-		}
-		if g.Sign() > 0 {
-			rem := new(big.Int).Mod(new(big.Int).Neg(a.Expr.Const), g)
-			if rem.Sign() != 0 {
-				return StatusUnsat, nil
-			}
+		if gcdInfeasible(a) {
+			return StatusUnsat, nil
 		}
 	}
-	return branchAndBound(ctx, atoms, nil, maxDepth)
+	return branchAndBound(ctx, atoms, lv, nil, maxDepth)
 }
 
-func branchAndBound(ctx context.Context, atoms []LinAtom, extra []extraBound, depth int) (Status, map[string]*big.Int) {
+func branchAndBound(ctx context.Context, atoms []LinAtom, lv leafVars, extra []extraBound, depth int) (Status, map[string]num) {
 	if ctx != nil && ctx.Err() != nil {
 		return StatusUnknown, nil
 	}
-	sx := newSimplex()
-	for _, a := range atoms {
-		rhs := new(big.Rat).SetInt(new(big.Int).Neg(a.Expr.Const))
-		switch a.Kind {
-		case AtomLe:
-			sx.addConstraint(a.Expr.Coeffs, nil, rhs)
-		case AtomEq:
-			sx.addConstraint(a.Expr.Coeffs, rhs, rhs)
-		}
-	}
+	sx := newSimplexFor(atoms, lv)
 	for _, eb := range extra {
 		if !sx.setBounds(eb.name, eb.lo, eb.hi) {
 			return StatusUnsat, nil
@@ -430,41 +542,24 @@ func branchAndBound(ctx context.Context, atoms []LinAtom, extra []extraBound, de
 	case StatusUnknown:
 		return StatusUnknown, nil
 	}
-	// Rational model; find a fractional named variable.
-	fracVar := ""
-	var fracVal *big.Rat
-	names := make([]string, 0, len(sx.index))
-	for name := range sx.index {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		v := sx.val[sx.index[name]]
-		if !v.IsInt() {
-			fracVar, fracVal = name, v
-			break
-		}
-	}
-	if fracVar == "" {
-		model := make(map[string]*big.Int, len(names))
-		for _, name := range names {
-			model[name] = new(big.Int).Set(sx.val[sx.index[name]].Num())
-		}
-		return StatusSat, model
+	// Rational model; branch on the smallest-named fractional variable.
+	fracVar, fracVal, ok := sx.fractional()
+	if !ok {
+		return StatusSat, sx.model()
 	}
 	if depth <= 0 {
 		return StatusUnknown, nil
 	}
 	// Branch: x ≤ floor(v) or x ≥ floor(v)+1.
-	floor := ratFloor(fracVal)
-	lo := new(big.Rat).SetInt(new(big.Int).Add(floor, big.NewInt(1)))
-	hi := new(big.Rat).SetInt(floor)
-	st, m := branchAndBound(ctx, atoms, append(append([]extraBound{}, extra...),
+	floor := fracVal.floor()
+	lo := bound{v: floor.add(numInt(1)), ok: true}
+	hi := bound{v: floor, ok: true}
+	st, m := branchAndBound(ctx, atoms, lv, append(append([]extraBound{}, extra...),
 		extraBound{name: fracVar, hi: hi}), depth-1)
 	if st == StatusSat {
 		return st, m
 	}
-	st2, m2 := branchAndBound(ctx, atoms, append(append([]extraBound{}, extra...),
+	st2, m2 := branchAndBound(ctx, atoms, lv, append(append([]extraBound{}, extra...),
 		extraBound{name: fracVar, lo: lo}), depth-1)
 	if st2 == StatusSat {
 		return st2, m2
@@ -475,10 +570,35 @@ func branchAndBound(ctx context.Context, atoms []LinAtom, extra []extraBound, de
 	return StatusUnknown, nil
 }
 
-// ratFloor returns ⌊r⌋ as a big.Int.
-func ratFloor(r *big.Rat) *big.Int {
-	out := new(big.Int)
-	rem := new(big.Int)
-	out.DivMod(r.Num(), r.Denom(), rem)
-	return out
+// gcdInfeasible reports whether a single atom is integer-infeasible by
+// itself: a contradictory constant atom, or an equality Σ cᵢxᵢ = k
+// with gcd(cᵢ) ∤ k.
+func gcdInfeasible(a LinAtom) bool {
+	e := a.Expr
+	if len(e.Terms) == 0 {
+		if a.Kind == AtomEq {
+			return e.Const.sign() != 0
+		}
+		return e.Const.sign() > 0
+	}
+	if a.Kind != AtomEq {
+		return false
+	}
+	word := e.Const.b == nil
+	var g int64
+	for _, t := range e.Terms {
+		if t.Coeff.b != nil {
+			word = false
+			break
+		}
+		g = gcd64(g, int64(uabs(t.Coeff.n)))
+	}
+	if word {
+		return e.Const.n%g != 0
+	}
+	gb := new(big.Int)
+	for _, t := range e.Terms {
+		gb.GCD(nil, nil, gb, new(big.Int).Abs(t.Coeff.rat().Num()))
+	}
+	return new(big.Int).Rem(e.Const.rat().Num(), gb).Sign() != 0
 }

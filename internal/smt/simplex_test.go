@@ -1,26 +1,31 @@
 package smt
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 )
 
-func rat(n int64) *big.Rat { return big.NewRat(n, 1) }
+func rat(n int64) num { return numInt(n) }
+
+// at is the bound n.
+func at(n int64) bound { return bound{v: numInt(n), ok: true} }
+
+// valOf returns the current value of the named variable.
+func (s *simplex) valOf(name string) num { return s.vars[s.index[name]].val }
 
 func TestSimplexDirectFeasible(t *testing.T) {
 	// x + y <= 4, x >= 1, y >= 2 (as -x <= -1, -y <= -2).
 	sx := newSimplex()
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(1), "y": big.NewInt(1)}, nil, rat(4))
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(-1)}, nil, rat(-1))
-	sx.addConstraint(map[string]*big.Int{"y": big.NewInt(-1)}, nil, rat(-2))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": 1, "y": 1}).Terms, bound{}, at(4))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": -1}).Terms, bound{}, at(-1))
+	sx.addConstraint(mkExpr(0, map[string]int64{"y": -1}).Terms, bound{}, at(-2))
 	if st := sx.check(); st != StatusSat {
 		t.Fatalf("status: %s", st)
 	}
-	x := sx.val[sx.index["x"]]
-	y := sx.val[sx.index["y"]]
-	sum := new(big.Rat).Add(x, y)
-	if x.Cmp(rat(1)) < 0 || y.Cmp(rat(2)) < 0 || sum.Cmp(rat(4)) > 0 {
+	x := sx.valOf("x")
+	y := sx.valOf("y")
+	sum := x.add(y)
+	if x.cmp(rat(1)) < 0 || y.cmp(rat(2)) < 0 || sum.cmp(rat(4)) > 0 {
 		t.Errorf("model violates constraints: x=%v y=%v", x, y)
 	}
 }
@@ -28,8 +33,8 @@ func TestSimplexDirectFeasible(t *testing.T) {
 func TestSimplexDirectInfeasible(t *testing.T) {
 	// x <= 1 and x >= 2.
 	sx := newSimplex()
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(1)}, nil, rat(1))
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(-1)}, nil, rat(-2))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": 1}).Terms, bound{}, at(1))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": -1}).Terms, bound{}, at(-2))
 	if st := sx.check(); st != StatusUnsat {
 		t.Fatalf("status: %s", st)
 	}
@@ -38,26 +43,26 @@ func TestSimplexDirectInfeasible(t *testing.T) {
 func TestSimplexEqualities(t *testing.T) {
 	// x + y = 10, x - y = 4  =>  x = 7, y = 3.
 	sx := newSimplex()
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(1), "y": big.NewInt(1)}, rat(10), rat(10))
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(1), "y": big.NewInt(-1)}, rat(4), rat(4))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": 1, "y": 1}).Terms, at(10), at(10))
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": 1, "y": -1}).Terms, at(4), at(4))
 	if st := sx.check(); st != StatusSat {
 		t.Fatalf("status: %s", st)
 	}
-	if got := sx.val[sx.index["x"]]; got.Cmp(rat(7)) != 0 {
+	if got := sx.valOf("x"); got.cmp(rat(7)) != 0 {
 		t.Errorf("x = %v, want 7", got)
 	}
-	if got := sx.val[sx.index["y"]]; got.Cmp(rat(3)) != 0 {
+	if got := sx.valOf("y"); got.cmp(rat(3)) != 0 {
 		t.Errorf("y = %v, want 3", got)
 	}
 }
 
 func TestSimplexSetBoundsConflict(t *testing.T) {
 	sx := newSimplex()
-	sx.addConstraint(map[string]*big.Int{"x": big.NewInt(1)}, nil, rat(10))
-	if !sx.setBounds("x", rat(3), nil) {
+	sx.addConstraint(mkExpr(0, map[string]int64{"x": 1}).Terms, bound{}, at(10))
+	if !sx.setBounds("x", at(3), bound{}) {
 		t.Fatal("bounds 3..inf fine")
 	}
-	if sx.setBounds("x", rat(5), rat(4)) {
+	if sx.setBounds("x", at(5), at(4)) {
 		t.Fatal("empty interval must be rejected")
 	}
 }
@@ -73,20 +78,20 @@ func TestQuickSimplexRandomSystems(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		sx := newSimplex()
 		type cons struct {
-			coeffs map[string]*big.Int
-			hi     *big.Rat
+			coeffs map[string]int64
+			hi     num
 		}
 		var cs []cons
 		n := 1 + r.Intn(5)
 		for i := 0; i < n; i++ {
-			coeffs := make(map[string]*big.Int)
+			coeffs := make(map[string]int64)
 			for _, v := range vars {
 				if c := r.Intn(7) - 3; c != 0 {
-					coeffs[v] = big.NewInt(int64(c))
+					coeffs[v] = int64(c)
 				}
 			}
 			hi := rat(int64(r.Intn(21) - 10))
-			sx.addConstraint(coeffs, nil, hi)
+			sx.addConstraint(mkExpr(0, coeffs).Terms, bound{}, bound{v: hi, ok: true})
 			cs = append(cs, cons{coeffs, hi})
 		}
 		st := sx.check()
@@ -94,11 +99,11 @@ func TestQuickSimplexRandomSystems(t *testing.T) {
 		case StatusSat:
 			// Verify the model.
 			for ci, c := range cs {
-				sum := new(big.Rat)
+				var sum num
 				for v, co := range c.coeffs {
-					sum.Add(sum, new(big.Rat).Mul(new(big.Rat).SetInt(co), sx.val[sx.index[v]]))
+					sum = sum.add(rat(co).mul(sx.valOf(v)))
 				}
-				if sum.Cmp(c.hi) > 0 {
+				if sum.cmp(c.hi) > 0 {
 					t.Fatalf("trial %d: model violates constraint %d: %v > %v", trial, ci, sum, c.hi)
 				}
 			}
@@ -112,12 +117,10 @@ func TestQuickSimplexRandomSystems(t *testing.T) {
 						for _, c := range cs {
 							var sum int64
 							for v, co := range c.coeffs {
-								sum += co.Int64() * env[v]
+								sum += co * env[v]
 							}
-							num := c.hi.Num().Int64()
-							if big.NewRat(sum, 1).Cmp(c.hi) > 0 {
+							if rat(sum).cmp(c.hi) > 0 {
 								all = false
-								_ = num
 								break
 							}
 						}
@@ -139,13 +142,13 @@ func TestQuickBranchAndBound(t *testing.T) {
 		var atoms []LinAtom
 		n := 1 + r.Intn(4)
 		for i := 0; i < n; i++ {
-			e := newLinExpr()
+			terms := make(map[string]int64)
 			for _, v := range []string{"x", "y"} {
 				if c := r.Intn(9) - 4; c != 0 {
-					e.addVar(v, big.NewInt(int64(c)))
+					terms[v] = int64(c)
 				}
 			}
-			e.Const.SetInt64(int64(r.Intn(13) - 6))
+			e := mkExpr(int64(r.Intn(13)-6), terms)
 			kind := AtomLe
 			if r.Intn(4) == 0 {
 				kind = AtomEq
@@ -165,7 +168,7 @@ func TestQuickBranchAndBound(t *testing.T) {
 			// Integer brute force on a box must agree.
 			for x := int64(-8); x <= 8; x++ {
 				for y := int64(-8); y <= 8; y++ {
-					m := map[string]*big.Int{"x": big.NewInt(x), "y": big.NewInt(y)}
+					m := map[string]num{"x": rat(x), "y": rat(y)}
 					all := true
 					for _, a := range atoms {
 						if !linAtomHolds(a, m) {

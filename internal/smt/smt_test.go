@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"math/big"
 	"testing"
 
 	"pathslice/internal/logic"
@@ -248,18 +247,12 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 }
 
 func TestRatHelpers(t *testing.T) {
-	r := big.NewRat(7, 2)
-	if f := ratFloor(r); f.Int64() != 3 {
-		t.Errorf("floor(7/2) = %v", f)
+	r := numInt(7).quo(numInt(2))
+	if f, _ := r.floor().int64(); f != 3 {
+		t.Errorf("floor(7/2) = %v", r.floor())
 	}
-	if f := ratFloor(big.NewRat(-7, 2)); f.Int64() != -4 {
+	if f, _ := numInt(-7).quo(numInt(2)).floor().int64(); f != -4 {
 		t.Errorf("floor(-7/2) = %v", f)
-	}
-	if got, ok := ratToInt64(big.NewRat(5, 1)); !ok || got != 5 {
-		t.Errorf("ratToInt64(5) = %v %v", got, ok)
-	}
-	if _, ok := ratToInt64(big.NewRat(5, 2)); ok {
-		t.Error("5/2 is not an int64")
 	}
 }
 

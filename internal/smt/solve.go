@@ -2,7 +2,6 @@ package smt
 
 import (
 	"context"
-	"math/big"
 	"time"
 
 	"pathslice/internal/faults"
@@ -242,12 +241,12 @@ func (s *searcher) leaf(atoms []LinAtom, nes []neAtom) Status {
 		s.sawUnknown = true
 		return StatusUnknown
 	}
-	st, bigModel := checkConjCtx(s.ctx, atoms, s.lim.MaxBBDepth)
+	st, numModel := checkConjCtx(s.ctx, atoms, s.lim.MaxBBDepth)
 	if st == StatusSat {
 		// Find a violated disequality (its lt-side expression evaluates
 		// to > 0 under the model means lt is FALSE... evaluate both).
 		for i, ne := range nes {
-			if linAtomHolds(ne.lt, bigModel) || linAtomHolds(ne.gt, bigModel) {
+			if linAtomHolds(ne.lt, numModel) || linAtomHolds(ne.gt, numModel) {
 				continue
 			}
 			// Violated: the model makes both sides equal. Branch.
@@ -276,14 +275,11 @@ func (s *searcher) leaf(atoms []LinAtom, nes []neAtom) Status {
 		}
 		return st
 	}
-	model := make(map[string]int64, len(bigModel))
-	for name, v := range bigModel {
-		if !v.IsInt64() {
-			// Out-of-range model value: clamp? No — reject as unknown.
-			s.sawUnknown = true
-			return StatusUnknown
-		}
-		model[name] = v.Int64()
+	model, ok := int64Model(numModel)
+	if !ok {
+		// Out-of-range model value: clamp? No — reject as unknown.
+		s.sawUnknown = true
+		return StatusUnknown
 	}
 	if !s.lin.used {
 		s.model = projectModel(model)
@@ -328,39 +324,31 @@ func (s *searcher) validate(model map[string]int64) bool {
 	return err == nil && ok
 }
 
-// linAtomHolds evaluates a normalized atom under an integer model
-// (missing variables default to 0).
-func linAtomHolds(a LinAtom, model map[string]*big.Int) bool {
-	var sum, tmp big.Int
-	return linAtomHoldsScratch(a, model, &sum, &tmp)
+// int64Model converts an integral model to int64 values; ok is false
+// when some value is out of int64 range.
+func int64Model(m map[string]num) (map[string]int64, bool) {
+	out := make(map[string]int64, len(m))
+	for name, v := range m {
+		i, ok := v.int64()
+		if !ok {
+			return nil, false
+		}
+		out[name] = i
+	}
+	return out, true
 }
 
-// linAtomHoldsScratch is linAtomHolds with caller-provided scratch
-// values — the incremental solver's disequality scan calls it for
-// every deferred disequality on every check, so per-call allocations
-// would dominate that loop.
-func linAtomHoldsScratch(a LinAtom, model map[string]*big.Int, sum, tmp *big.Int) bool {
-	sum.Set(a.Expr.Const)
-	for v, c := range a.Expr.Coeffs {
-		if mv, ok := model[v]; ok {
-			tmp.Mul(c, mv)
-			sum.Add(sum, tmp)
+// linAtomHolds evaluates a normalized atom under an integer model
+// (missing variables default to 0).
+func linAtomHolds(a LinAtom, model map[string]num) bool {
+	sum := a.Expr.Const
+	for _, t := range a.Expr.Terms {
+		if mv, ok := model[t.Var]; ok {
+			sum = sum.add(t.Coeff.mul(mv))
 		}
 	}
 	if a.Kind == AtomEq {
-		return sum.Sign() == 0
+		return sum.sign() == 0
 	}
-	return sum.Sign() <= 0
-}
-
-// ratToInt64 is a helper kept for tests.
-func ratToInt64(r *big.Rat) (int64, bool) {
-	if !r.IsInt() {
-		return 0, false
-	}
-	n := r.Num()
-	if !n.IsInt64() {
-		return 0, false
-	}
-	return n.Int64(), true
+	return sum.sign() <= 0
 }
