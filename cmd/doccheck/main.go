@@ -12,7 +12,11 @@
 //   - drifted API examples: in files that use <!-- doccheck: Type -->
 //     markers (docs/API.md), every ```json fence must carry one and
 //     must strict-decode — unknown fields rejected, exactly like a
-//     slicerd request body — into the named internal/service type.
+//     slicerd request body — into the named internal/service type;
+//   - undocumented metrics: every string literal that non-test Go code
+//     passes as the name to a Counter, Gauge or Histogram call must
+//     appear in backticks in docs/OBSERVABILITY.md, the metric
+//     catalogue.
 //
 // It is wired into `make docs-check` (and `make check`), so docs
 // drift breaks the build the same way a failing test does.
@@ -34,6 +38,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -48,12 +53,15 @@ func main() {
 	if len(mdFiles) == 0 {
 		fatal(fmt.Errorf("no .md files found under %s", *root))
 	}
-	exported, err := collectExported(*root)
+	exported, metrics, err := indexGo(*root)
 	if err != nil {
 		fatal(err)
 	}
 
-	var problems []string
+	problems, err := checkMetrics(*root, metrics)
+	if err != nil {
+		fatal(err)
+	}
 	for _, md := range mdFiles {
 		b, err := os.ReadFile(md)
 		if err != nil {
@@ -71,7 +79,28 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s) in %d file(s) checked\n", len(problems), len(mdFiles))
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: %d markdown files OK (%d packages indexed)\n", len(mdFiles), len(exported))
+	fmt.Printf("doccheck: %d markdown files OK (%d packages indexed, %d metrics catalogued)\n", len(mdFiles), len(exported), len(metrics))
+}
+
+// catalogue is the Markdown file that must name every metric.
+const catalogue = "docs/OBSERVABILITY.md"
+
+// checkMetrics verifies that the catalogue mentions every metric name,
+// given as name → "file:line" of one registration, in backticks.
+func checkMetrics(root string, metrics map[string]string) ([]string, error) {
+	b, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(catalogue)))
+	if err != nil {
+		return nil, err
+	}
+	doc := string(b)
+	var problems []string
+	for name, pos := range metrics {
+		if !strings.Contains(doc, "`"+name+"`") {
+			problems = append(problems, fmt.Sprintf("%s: metric %q is missing from %s", pos, name, catalogue))
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
 }
 
 // findMarkdown returns every .md file under root, skipping VCS and
@@ -159,12 +188,14 @@ func checkIdents(rel, content string, exported map[string]map[string]bool) []str
 	return problems
 }
 
-// collectExported parses every Go package under root and returns, per
-// package name, the set of exported top-level identifiers (types,
-// funcs, consts, vars) plus exported methods and struct fields — so
-// docs may reference `cegar.Options` and `smt.StatusSat` alike.
-func collectExported(root string) (map[string]map[string]bool, error) {
+// indexGo parses every Go file under root. It returns, per package
+// name, the set of exported top-level identifiers (types, funcs,
+// consts, vars) plus exported methods and struct fields — so docs may
+// reference `cegar.Options` and `smt.StatusSat` alike — and the metric
+// names non-test files register (see addMetrics).
+func indexGo(root string) (map[string]map[string]bool, map[string]string, error) {
 	out := make(map[string]map[string]bool)
+	metrics := make(map[string]string)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -184,6 +215,10 @@ func collectExported(root string) (map[string]map[string]bool, error) {
 		if err != nil {
 			return fmt.Errorf("parse %s: %w", path, err)
 		}
+		if !strings.HasSuffix(path, "_test.go") {
+			rel, _ := filepath.Rel(root, path)
+			addMetrics(fset, rel, f, metrics)
+		}
 		// Test files count too — docs reference fuzz targets and test
 		// helpers by name; external test packages attribute to the
 		// package under test.
@@ -199,7 +234,38 @@ func collectExported(root string) (map[string]map[string]bool, error) {
 		addExported(f, idents)
 		return nil
 	})
-	return out, err
+	return out, metrics, err
+}
+
+// addMetrics records, as name → "file:line", the string literal passed
+// first to every call of a method named Counter, Gauge or Histogram —
+// the obs registry's constructors.
+func addMetrics(fset *token.FileSet, rel string, f *ast.File, metrics map[string]string) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "Counter", "Gauge", "Histogram":
+		default:
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		if name, err := strconv.Unquote(lit.Value); err == nil {
+			if _, seen := metrics[name]; !seen {
+				metrics[name] = fmt.Sprintf("%s:%d", filepath.ToSlash(rel), fset.Position(lit.Pos()).Line)
+			}
+		}
+		return true
+	})
 }
 
 func addExported(f *ast.File, idents map[string]bool) {

@@ -21,15 +21,15 @@
 // predicate counts and counterexample/slice sizes as attributes), and
 // the registry accumulates cegar_* counters — solver calls, abstract
 // posts, post-memo hits, states explored, entailments the frame rule
-// answered, conjuncts the cone left out, and the most entailments one
+// answered, conjuncts the cones left out, and the most entailments one
 // abstract post computed. See docs/OBSERVABILITY.md for the catalogue.
 package cegar
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -259,20 +259,32 @@ type Checker struct {
 	// old predicate's WP entailment depends only on the edge and the
 	// determined conjuncts captured in the key, and undetermined new
 	// predicates add no conjunct — so a lookup reuses the old prefix
-	// and computes only the newly-added predicates. Reset per Check
-	// (predicate indices restart).
+	// and computes only the newly-added predicates.
 	postMemo map[string]*postMemoEntry
+	// predIDs numbers predicate contents for postMemo's keys and
+	// entries. It is created and flushed together with postMemo, so an
+	// ID names the same content for as long as any entry that holds it.
+	predIDs map[string]uint64
+	// keyBuf and scopeBuf are memoKey's scratch space.
+	keyBuf   []byte
+	scopeBuf []string
 
 	// uncachedCalls counts smt.Solve invocations when the cache is
 	// disabled (with the cache on, its miss counter plays this role).
 	uncachedCalls int64
 	memoHits      int64
 
-	// Test hooks, set only through export_test.go: checkEntail observes
-	// every entailment the post decides, and dropConnected plants an
-	// over-eager cone that leaves out one connected conjunct.
-	checkEntail   func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
-	dropConnected bool
+	// Test hooks, set only through export_test.go: checkEntail and
+	// checkPrune observe every entailment and prune the post decides.
+	// The rest plant wrong rules the cross-check must catch:
+	// dropConnected leaves one connected conjunct out of an entailment
+	// cone, dropGuardLiteral one connected literal out of a prune query,
+	// and copyUndetermined copies undetermined values across assumes.
+	checkEntail      func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
+	checkPrune       func(st *absState, e *cfa.Edge, preds []predicate, pruned bool)
+	dropConnected    bool
+	dropGuardLiteral bool
+	copyUndetermined bool
 }
 
 // New builds a checker for prog.
@@ -352,13 +364,14 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 	csp := obs.StartNamedSpan(obs.PhaseCheck, "check "+target.String())
 	res = &Result{}
 	// The abstract-post memo persists across checks: its keys are
-	// content-based (edge, determined conjuncts by predicate string,
+	// content-based (edge, determined conjuncts by predicate content ID,
 	// scope), so entries from an earlier check of the same program stay
 	// valid even though predicate indices restart. A long-lived Checker
 	// (cmd/slicerd) therefore answers repeat traffic from a warm memo;
 	// the cap below bounds its memory on pathological workloads.
 	if c.postMemo == nil || len(c.postMemo) > maxPostMemoEntries {
 		c.postMemo = make(map[string]*postMemoEntry)
+		c.predIDs = make(map[string]uint64)
 	}
 	startUncached := c.uncachedCalls
 	startCache := c.cacheStats()
@@ -525,14 +538,15 @@ type absState struct {
 }
 
 // ctxKey identifies a state's control context (location + stack); the
-// predicate valuation is handled by the covering relation.
+// predicate valuation is handled by the covering relation. It is the
+// location ID, then each stack edge's ID, as self-delimiting uvarints.
 func (st *absState) ctxKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", st.loc.ID)
+	var buf [32]byte
+	b := binary.AppendUvarint(buf[:0], uint64(st.loc.ID))
 	for _, e := range st.stack {
-		fmt.Fprintf(&b, "%d,", e.ID)
+		b = binary.AppendUvarint(b, uint64(e.ID))
 	}
-	return b.String()
+	return string(b)
 }
 
 // covers reports whether a visited valuation a subsumes b: every
@@ -582,18 +596,23 @@ func (cs *coverSet) add(st *absState) bool {
 
 // predicate is one abstraction predicate together with what the
 // abstract post reads of it, computed once when refinement adds it:
-// its content string (memo keys outlive a check, so they name
-// predicates by content), its variables (the cone) and the functions
-// whose locals it mentions (localization).
+// the ID of its content string in predIDs (memo keys outlive a check,
+// so they name predicates by content), its variables (the cone) and
+// the functions whose locals it mentions (localization).
 type predicate struct {
 	f     logic.Formula
-	key   string
+	id    uint64
 	vars  []string
 	scope []string
 }
 
 func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
-	p := predicate{f: f, key: key, vars: logic.Vars(f)}
+	id, ok := c.predIDs[key]
+	if !ok {
+		id = uint64(len(c.predIDs))
+		c.predIDs[key] = id
+	}
+	p := predicate{f: f, id: id, vars: logic.Vars(f)}
 	for _, v := range p.vars {
 		fn := c.prog.FuncOf(v)
 		if fn == nil || cfa.IsTransferVar(v) || slices.Contains(p.scope, fn.Name) {
@@ -661,7 +680,7 @@ func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []predicate,
 }
 
 // postMemoEntry is one memoized abstract-post computation. vals maps a
-// predicate's canonical string to its successor value, so an entry is
+// predicate's content ID to its successor value, so an entry is
 // valid for any predicate list: a lookup reuses every predicate it has
 // seen before (under the same determined source conjuncts, captured by
 // the memo key) and computes only the rest. Content keying is what lets
@@ -671,7 +690,7 @@ func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []predicate,
 type postMemoEntry struct {
 	prunedKnown bool
 	pruned      bool
-	vals        map[string]int8
+	vals        map[uint64]int8
 }
 
 // freshStride separates the fresh-variable namespaces of the per-
@@ -688,30 +707,40 @@ const freshStride = 4096
 // entailment precondition conjoins — undetermined predicates contribute
 // nothing), and the localization scope (the set of functions on the
 // stack decides which predicates are evaluated at all). Determined
-// conjuncts are keyed by predicate content, not index, so a key stays
-// valid across checks whose predicate lists differ (the predicate index
-// space restarts per Check; its contents do not).
-func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", e.ID)
+// conjuncts are keyed by predicate content ID, not index, so a key
+// stays valid across checks whose predicate lists differ (the predicate
+// index space restarts per Check; its contents do not).
+//
+// The key is the edge ID, one integer per determined literal (2·ID+2
+// when true, 2·ID+3 when false), all as uvarints, then a 0 byte and
+// each sorted scope name followed by ','. Uvarints delimit themselves,
+// no literal encodes as 0, and names contain neither byte, so distinct
+// computations get distinct keys. The result aliases c.keyBuf.
+func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
+	b := binary.AppendUvarint(c.keyBuf[:0], uint64(e.ID))
 	for i, v := range st.vals {
 		if v != 0 {
-			fmt.Fprintf(&b, "%s:%d,", preds[i].key, v)
+			lit := 2*preds[i].id + 2
+			if v < 0 {
+				lit++
+			}
+			b = binary.AppendUvarint(b, lit)
 		}
 	}
+	b = append(b, 0)
 	if !c.opts.NoLocalize && len(st.stack) > 0 {
-		names := make([]string, 0, len(st.stack))
+		names := c.scopeBuf[:0]
 		for _, call := range st.stack {
 			names = append(names, call.Src.Fn.Name)
 		}
-		sort.Strings(names)
-		b.WriteByte('|')
+		slices.Sort(names)
 		for _, n := range names {
-			b.WriteString(n)
-			b.WriteByte(',')
+			b = append(append(b, n...), ',')
 		}
+		c.scopeBuf = names
 	}
-	return b.String()
+	c.keyBuf = b
+	return b
 }
 
 // post computes the abstract successor of st via edge e, or nil when
@@ -720,20 +749,24 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) string {
 // memo, the cache or the frame rule, so budgets behave identically
 // across configurations.
 //
-// Each entailment is decided by two rules before the solver sees it.
-// Both are exact whenever the source valuation is satisfiable, which
-// holds by induction unless a solver query answered Unknown: the root
-// is true, an assignment's image of a satisfiable set is non-empty, and
-// an assume is pruned on the full precondition before any entailment.
-// With an unsatisfiable source the state is empty, so any successor
-// valuation is sound.
-//   - Frame rule: on a non-assume edge whose WP leaves p unchanged, a p
-//     the source determines keeps its value. (An undetermined p is left
-//     to the cone: the source may entail it without naming it.)
-//   - Cone: a query conjoins wp(±p) only with the precondition's
-//     conjuncts variable-connected to it. The rest share no variable
-//     with the query and are jointly satisfiable, so dropping them
-//     leaves its satisfiability unchanged.
+// Each query is decided by two rules before the solver sees it. Both
+// are exact whenever the source valuation is satisfiable, which holds
+// by induction unless a solver query answered Unknown: the root is
+// true, an assignment's image of a non-empty set is non-empty, and an
+// assume that is not pruned has a satisfiable precondition (its prune
+// query is satisfiable, and the literals left out of that query are
+// satisfiable and share no variable with it). With an unsatisfiable
+// source the state is empty, so any successor valuation is sound.
+//   - Frame rule: a p the source determines keeps its value across an
+//     assume, which only removes states, and across any other edge
+//     whose WP leaves p unchanged. (An undetermined p is left to the
+//     cone: the source may entail it without naming it.)
+//   - Cone: an entailment query conjoins wp(±p) only with the
+//     precondition's conjuncts variable-connected to it, and a prune
+//     query conjoins the assume only with the literals connected to
+//     it. The rest share no variable with the query and are jointly
+//     satisfiable, so dropping them leaves its satisfiability
+//     unchanged.
 func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []predicate) (*absState, int) {
 	work := 0
 	mAbstractPosts.Inc()
@@ -761,11 +794,11 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 	if !c.opts.DisablePostMemo {
 		key := c.memoKey(st, e, preds)
 		var ok bool
-		if memo, ok = c.postMemo[key]; ok {
+		if memo, ok = c.postMemo[string(key)]; ok {
 			c.memoHits++
 		} else {
-			memo = &postMemoEntry{vals: make(map[string]int8)}
-			c.postMemo[key] = memo
+			memo = &postMemoEntry{vals: make(map[uint64]int8)}
+			c.postMemo[string(key)] = memo
 		}
 	}
 
@@ -788,7 +821,16 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		// Prune when the state cannot take the branch.
 		work++
 		if memo == nil || !memo.prunedKnown {
-			pruned := c.solve(ctx, logic.MkAnd(precondition().fs...)).Status == smt.StatusUnsat
+			full := precondition()
+			guard := full.guardCone()
+			if c.dropGuardLiteral && len(guard) > len(full.fs)-full.lits {
+				guard = guard[1:]
+			}
+			mConeDropped.Add(int64(len(full.fs) - len(guard)))
+			pruned := c.solve(ctx, logic.MkAnd(guard...)).Status == smt.StatusUnsat
+			if c.checkPrune != nil {
+				c.checkPrune(st, e, preds, pruned)
+			}
 			if memo != nil {
 				memo.prunedKnown, memo.pruned = true, pruned
 			} else if pruned {
@@ -819,10 +861,17 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		if faults.Should(faults.WorkerPanic) {
 			panic("faults: injected worker panic")
 		}
+		// Frame rule: an assume only removes states, and any other edge
+		// whose WP leaves p unchanged keeps it, so a determined p keeps
+		// its value.
+		if e.Op.Kind == cfa.OpAssume && (st.vals[i] != 0 || c.copyUndetermined) {
+			mFrameSkips.Inc()
+			return st.vals[i]
+		}
 		fresh := (i + 1) * freshStride
 		p := preds[i].f
 		wpP := wp.WPOp(p, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
-		if e.Op.Kind != cfa.OpAssume && st.vals[i] != 0 && logic.Equal(wpP, p) {
+		if st.vals[i] != 0 && logic.Equal(wpP, p) {
 			mFrameSkips.Inc()
 			return st.vals[i]
 		}
@@ -852,7 +901,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		}
 		work += 2
 		if memo != nil {
-			if v, ok := memo.vals[p.key]; ok {
+			if v, ok := memo.vals[p.id]; ok {
 				vals[i] = v
 				continue // memoized
 			}
@@ -863,7 +912,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			c.checkEntail(st, e, preds, i, vals[i])
 		}
 		if memo != nil {
-			memo.vals[p.key] = vals[i]
+			memo.vals[p.id] = vals[i]
 		}
 	}
 	mPostEntailsMax.SetMax(int64(computed))
@@ -872,13 +921,13 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 	return succ, work
 }
 
-// entailPre is the precondition of one post's entailment queries as a
-// conjunct list: the source's determined literals, then on an assume
-// edge the assume's conjuncts. comp[j] is conjunct j's variable-
-// connected component (a union-find root over up), -1 when it has no
-// variables.
+// entailPre is the precondition of one post's queries as a conjunct
+// list: the source's lits determined literals, then on an assume edge
+// the assume's conjuncts. comp[j] is conjunct j's variable-connected
+// component (a union-find root over up), -1 when it has no variables.
 type entailPre struct {
 	fs   []logic.Formula
+	lits int
 	comp []int
 	node map[string]int // variable → union-find node
 	up   []int
@@ -898,6 +947,7 @@ func newEntailPre(preds []predicate, vals []int8, assume logic.Formula) *entailP
 		}
 		vars = append(vars, preds[i].vars)
 	}
+	pre.lits = len(pre.fs)
 	if assume != nil {
 		conj := []logic.Formula{assume}
 		if a, ok := assume.(logic.And); ok {
@@ -950,9 +1000,28 @@ func (pre *entailPre) cone(vars []string) []logic.Formula {
 			in[pre.find(n)] = true
 		}
 	}
+	return pre.connected(in, len(pre.fs))
+}
+
+// guardCone returns an assume's prune query: all of the assume's
+// conjuncts, variable-free ones included, and the determined literals
+// variable-connected to them, in precondition order.
+func (pre *entailPre) guardCone() []logic.Formula {
+	in := make([]bool, len(pre.up))
+	for _, n := range pre.comp[pre.lits:] {
+		if n >= 0 {
+			in[n] = true
+		}
+	}
+	return pre.connected(in, pre.lits)
+}
+
+// connected returns the conjuncts in a component marked in, and every
+// conjunct from index from on, in precondition order.
+func (pre *entailPre) connected(in []bool, from int) []logic.Formula {
 	var out []logic.Formula
 	for j, f := range pre.fs {
-		if n := pre.comp[j]; n >= 0 && in[n] {
+		if n := pre.comp[j]; j >= from || n >= 0 && in[n] {
 			out = append(out, f)
 		}
 	}

@@ -61,14 +61,15 @@ func entailmentPrograms(t *testing.T) []namedProgram {
 	return out
 }
 
-// crossCheck runs every check of np, deciding each entailment both
-// with the frame rule and the cone and on the full uncached query.
-func crossCheck(np namedProgram, plant bool) cegar.EntailTally {
+// crossCheck runs every check of np, deciding each entailment and
+// prune both with the frame rule and the cones and on the full
+// uncached query. plant, when non-nil, plants a wrong rule first.
+func crossCheck(np namedProgram, plant func(*cegar.Checker)) cegar.EntailTally {
 	var tally cegar.EntailTally
 	c := cegar.New(np.prog, cegar.Options{UseSlicing: true})
 	cegar.CrossCheckEntailments(c, &tally)
-	if plant {
-		cegar.PlantOverEagerCone(c)
+	if plant != nil {
+		plant(c)
 	}
 	for _, loc := range np.prog.ErrorLocs() {
 		c.Check(loc)
@@ -77,36 +78,58 @@ func crossCheck(np namedProgram, plant bool) cegar.EntailTally {
 }
 
 // TestFrameRuleAndConeMatchFullQuery: the abstract post decides each
-// entailment with the frame rule or on the cone of the precondition.
-// Both rules are exact, so every value must equal the one the full
-// precondition gives.
+// entailment with the frame rule or on the cone of the precondition,
+// and each prune on the assume's cone. The rules are exact, so every
+// value and every prune must equal the one the full precondition
+// gives.
 func TestFrameRuleAndConeMatchFullQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decides every Table-1 entailment twice")
 	}
 	var total cegar.EntailTally
 	for _, np := range entailmentPrograms(t) {
-		tally := crossCheck(np, false)
-		if tally.Disagreed > 0 {
-			t.Errorf("%s: %d of %d entailments disagree with the full query", np.name, tally.Disagreed, tally.Checked)
+		tally := crossCheck(np, nil)
+		if tally.Disagreed > 0 || tally.PrunesDisagreed > 0 {
+			t.Errorf("%s: %d of %d entailments and %d of %d prunes disagree with the full query",
+				np.name, tally.Disagreed, tally.Checked, tally.PrunesDisagreed, tally.PrunesChecked)
 		}
 		total.Checked += tally.Checked
 		total.Disagreed += tally.Disagreed
+		total.PrunesChecked += tally.PrunesChecked
+		total.PrunesDisagreed += tally.PrunesDisagreed
 	}
-	t.Logf("%d entailments cross-checked, %d disagreements", total.Checked, total.Disagreed)
-	if total.Checked < 10000 {
-		t.Errorf("only %d entailments cross-checked; the corpus no longer exercises the post", total.Checked)
+	t.Logf("%d entailments and %d prunes cross-checked, %d and %d disagreements",
+		total.Checked, total.PrunesChecked, total.Disagreed, total.PrunesDisagreed)
+	if total.Checked < 10000 || total.PrunesChecked < 1000 {
+		t.Errorf("only %d entailments and %d prunes cross-checked; the corpus no longer exercises the post",
+			total.Checked, total.PrunesChecked)
 	}
 }
 
-// TestOverEagerConeIsCaught: a cone that leaves out one connected
-// conjunct is unsound, and the cross-check must see it.
+// TestOverEagerConeIsCaught: each planted rule is wrong, and the
+// cross-check must see it — a cone that leaves out one connected
+// conjunct and copying undetermined values across assumes in the
+// entailments, a prune query that leaves out one connected literal in
+// the prunes.
 func TestOverEagerConeIsCaught(t *testing.T) {
-	for _, np := range entailmentPrograms(t) {
-		if tally := crossCheck(np, true); tally.Disagreed > 0 {
-			t.Logf("%s: %d of %d entailments disagree", np.name, tally.Disagreed, tally.Checked)
-			return
-		}
+	for _, tc := range []struct {
+		name   string
+		plant  func(*cegar.Checker)
+		caught func(cegar.EntailTally) int
+	}{
+		{"over-eager cone", cegar.PlantOverEagerCone, func(t cegar.EntailTally) int { return t.Disagreed }},
+		{"undetermined values copied across assumes", cegar.PlantCopyUndetermined, func(t cegar.EntailTally) int { return t.Disagreed }},
+		{"over-eager prune cone", cegar.PlantOverEagerGuardCone, func(t cegar.EntailTally) int { return t.PrunesDisagreed }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, np := range entailmentPrograms(t) {
+				if tally := crossCheck(np, tc.plant); tc.caught(tally) > 0 {
+					t.Logf("%s: %d of %d entailments and %d of %d prunes disagree", np.name,
+						tally.Disagreed, tally.Checked, tally.PrunesDisagreed, tally.PrunesChecked)
+					return
+				}
+			}
+			t.Fatalf("the planted %s went unnoticed", tc.name)
+		})
 	}
-	t.Fatal("the planted over-eager cone went unnoticed")
 }

@@ -9,19 +9,30 @@ import (
 	"pathslice/internal/wp"
 )
 
-// EntailTally counts the entailments a checker's posts decided and how
-// many of them disagree with the full query.
-type EntailTally struct{ Checked, Disagreed int }
+// EntailTally counts the entailments and prunes a checker's posts
+// decided and how many of each disagree with the full query.
+type EntailTally struct {
+	Checked, Disagreed             int
+	PrunesChecked, PrunesDisagreed int
+}
 
-// CrossCheckEntailments makes c decide every entailment its posts
-// compute a second time, without the frame rule and the cone: on the
-// whole precondition, through uncached smt.SolveCtx. Disagreements are
-// counted in t.
+// CrossCheckEntailments makes c decide every entailment and every
+// prune its posts compute a second time, without the frame rule and
+// the cones: on the whole precondition, through uncached smt.SolveCtx.
+// Disagreements are counted in t.
 func CrossCheckEntailments(c *Checker, t *EntailTally) {
 	c.checkEntail = func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8) {
 		t.Checked++
 		if fullEntailment(c, st, e, preds, i) != got {
 			t.Disagreed++
+		}
+	}
+	c.checkPrune = func(st *absState, e *cfa.Edge, preds []predicate, pruned bool) {
+		t.PrunesChecked++
+		fresh := 0
+		pre := append(literals(st, preds), wp.WPOp(logic.True, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh))
+		if unsat(c, logic.MkAnd(pre...)) != pruned {
+			t.PrunesDisagreed++
 		}
 	}
 }
@@ -30,10 +41,16 @@ func CrossCheckEntailments(c *Checker, t *EntailTally) {
 // of every non-empty cone.
 func PlantOverEagerCone(c *Checker) { c.dropConnected = true }
 
-// fullEntailment is predicate i's successor value as the full query
-// decides it: the source's determined literals and the assume, conjoined
-// with wp(¬p), then with wp(p).
-func fullEntailment(c *Checker, st *absState, e *cfa.Edge, preds []predicate, i int) int8 {
+// PlantOverEagerGuardCone makes c's prune queries leave out one
+// determined literal connected to the assume, where there is one.
+func PlantOverEagerGuardCone(c *Checker) { c.dropGuardLiteral = true }
+
+// PlantCopyUndetermined makes c copy undetermined values across
+// assumes too, not only determined ones.
+func PlantCopyUndetermined(c *Checker) { c.copyUndetermined = true }
+
+// literals returns the source's determined literals.
+func literals(st *absState, preds []predicate) []logic.Formula {
 	var fs []logic.Formula
 	for j, v := range st.vals {
 		switch v {
@@ -43,6 +60,18 @@ func fullEntailment(c *Checker, st *absState, e *cfa.Edge, preds []predicate, i 
 			fs = append(fs, logic.MkNot(preds[j].f))
 		}
 	}
+	return fs
+}
+
+func unsat(c *Checker, f logic.Formula) bool {
+	return smt.SolveCtx(context.Background(), f, c.opts.SolverLimits).Status == smt.StatusUnsat
+}
+
+// fullEntailment is predicate i's successor value as the full query
+// decides it: the source's determined literals and the assume, conjoined
+// with wp(¬p), then with wp(p).
+func fullEntailment(c *Checker, st *absState, e *cfa.Edge, preds []predicate, i int) int8 {
+	fs := literals(st, preds)
 	fresh := (i + 1) * freshStride
 	p := preds[i].f
 	wpP := wp.WPOp(p, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
@@ -51,13 +80,10 @@ func fullEntailment(c *Checker, st *absState, e *cfa.Edge, preds []predicate, i 
 		fs = append(fs, wp.WPOp(logic.True, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh))
 	}
 	pre := logic.MkAnd(fs...)
-	unsat := func(f logic.Formula) bool {
-		return smt.SolveCtx(context.Background(), f, c.opts.SolverLimits).Status == smt.StatusUnsat
-	}
 	switch {
-	case unsat(logic.MkAnd(pre, wpNotP)):
+	case unsat(c, logic.MkAnd(pre, wpNotP)):
 		return 1
-	case unsat(logic.MkAnd(pre, wpP)):
+	case unsat(c, logic.MkAnd(pre, wpP)):
 		return -1
 	}
 	return 0

@@ -100,8 +100,9 @@ func (d *fuzzDecoder) formula(depth int) logic.Formula {
 // FuzzLinearize drives the linearizer (and the solver stack behind it)
 // with decoded formulas. The contract under fuzzing
 // (docs/ROBUSTNESS.md): no panic for any formula, the status is one of
-// the three defined values, and a Sat answer comes with a model that
-// actually satisfies the original (pre-abstraction) formula.
+// the three defined values, a Sat answer comes with a model that
+// actually satisfies the original (pre-abstraction) formula, and no
+// small assignment satisfies a formula answered Unsat.
 func FuzzLinearize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -179,12 +180,48 @@ func FuzzLinearize(f *testing.F) {
 				t.Fatalf("Sat model falsifies %s (model %v)", formula, model)
 			}
 		case StatusUnsat, StatusUnknown:
-			// Unsat is trusted (abstractions over-approximate); Unknown
-			// is always a legal answer under limits.
+			// Unknown is always a legal answer under limits.
 		default:
 			t.Fatalf("undefined status %v for %s", r.Status, formula)
 		}
+		if (r.Status == StatusUnsat || ri.Status == StatusUnsat) && !d.wide {
+			if env := smallModel(t, formula); env != nil {
+				t.Fatalf("Unsat, but %v satisfies %s", env, formula)
+			}
+		}
 	})
+}
+
+// smallModel returns an assignment of every fuzz variable over
+// {-1, 0, 1} under which logic.Eval satisfies f, or nil. With int8
+// constants alone, terms of such values stay far inside int64, where
+// Eval's wrapping and the solver's integers agree, so a model found
+// here refutes an Unsat answer. Assignments that divide by zero are
+// skipped: Eval rejects them, while the solver's division is total.
+func smallModel(t *testing.T, f logic.Formula) map[string]int64 {
+	env := make(map[string]int64, len(fuzzVars))
+	var try func(k int) bool
+	try = func(k int) bool {
+		if k == len(fuzzVars) {
+			ok, err := logic.Eval(f, env)
+			var dz logic.ErrDivByZero
+			if err != nil && !errors.As(err, &dz) {
+				t.Fatalf("Eval %s at %v: %v", f, env, err)
+			}
+			return err == nil && ok
+		}
+		for v := int64(-1); v <= 1; v++ {
+			env[fuzzVars[k]] = v
+			if try(k + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	if try(0) {
+		return env
+	}
+	return nil
 }
 
 // exactEval evaluates formulas over the integers with math/big, with
