@@ -32,15 +32,16 @@ race:
 
 # Short native-fuzzing smoke over the byte-input boundaries (the MiniC
 # parser — sequential and threaded grammars — the smt linearizer, the
-# solver's exact number type at the int64 word boundary, and the
-# PSTRC02 concurrent-trace decoder); `make FUZZTIME=5m fuzz` digs
-# deeper.
+# solver's exact number type at the int64 word boundary, its grouped
+# unsat-core filter against the plain one, and the PSTRC02
+# concurrent-trace decoder); `make FUZZTIME=5m fuzz` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/lang/parser/ -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lang/parser/ -run '^$$' -fuzz FuzzParseThreads -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzLinearize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzNum -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzUnsatCore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cfa/ -run '^$$' -fuzz FuzzConcurrentTrace -fuzztime $(FUZZTIME)
 
 # Differential/metamorphic oracle campaign over generated programs

@@ -15,8 +15,9 @@
 //  1. Oracle: a fresh campaign (seed = iteration number, so every
 //     iteration explores new programs) — any Theorem-1 violation
 //     fails the farm.
-//  2. Fuzz: FuzzParse, FuzzLinearize and FuzzNum (the solver's
-//     exact number type at the int64 word boundary) for -fuzztime
+//  2. Fuzz: FuzzParse, FuzzLinearize, FuzzNum (the solver's exact
+//     number type at the int64 word boundary) and FuzzUnsatCore (the
+//     grouped unsat-core filter against the plain one) for -fuzztime
 //     each (the threaded-syntax and PSTRC02 fuzzers stay on
 //     `make fuzz`).
 //  3. Bench: when at least -bench-min budget remains, cmd/benchjson
@@ -100,6 +101,9 @@ func main() {
 			fatal(err)
 		}
 		if err := fuzzPhase("./internal/smt/", "FuzzNum", *fuzztime); err != nil {
+			fatal(err)
+		}
+		if err := fuzzPhase("./internal/smt/", "FuzzUnsatCore", *fuzztime); err != nil {
 			fatal(err)
 		}
 		if time.Until(deadline) >= *benchMin {

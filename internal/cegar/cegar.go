@@ -265,6 +265,11 @@ type Checker struct {
 	// entries. It is created and flushed together with postMemo, so an
 	// ID names the same content for as long as any entry that holds it.
 	predIDs map[string]uint64
+	// ops holds each edge's operation converted for WP, indexed by edge
+	// ID and filled on first use (compiledOp). It lives as long as the
+	// checker, so a long-lived checker (cmd/slicerd) converts each edge
+	// once across all its checks.
+	ops []*wp.CompiledOp
 	// keyBuf and scopeBuf are memoKey's scratch space.
 	keyBuf   []byte
 	scopeBuf []string
@@ -294,6 +299,7 @@ func New(prog *cfa.Program, opts Options) *Checker {
 		prog:   prog,
 		slicer: core.NewWithOptions(prog, opts.SlicerOpts),
 		opts:   opts,
+		ops:    make([]*wp.CompiledOp, prog.NumEdges()),
 	}
 	if opts.SharedCache != nil {
 		c.cache = opts.SharedCache
@@ -810,7 +816,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			var assume logic.Formula
 			if e.Op.Kind == cfa.OpAssume {
 				fresh := 0
-				assume = assumeFormula(e.Op, c.slicer, &fresh)
+				assume = c.compiledOp(e).WP(logic.True, &fresh)
 			}
 			pre = newEntailPre(preds, st.vals, assume)
 		}
@@ -868,14 +874,15 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			mFrameSkips.Inc()
 			return st.vals[i]
 		}
+		op := c.compiledOp(e)
 		fresh := (i + 1) * freshStride
 		p := preds[i].f
-		wpP := wp.WPOp(p, e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
+		wpP := op.WP(p, &fresh)
 		if st.vals[i] != 0 && logic.Equal(wpP, p) {
 			mFrameSkips.Inc()
 			return st.vals[i]
 		}
-		wpNotP := wp.WPOp(logic.MkNot(p), e.Op, c.slicer.Alias, c.slicer.Addrs, &fresh)
+		wpNotP := op.WP(logic.MkNot(p), &fresh)
 		// wp(¬p) differs from wp(p) only in fresh variables, which no
 		// precondition conjunct mentions, so one cone serves both.
 		full := precondition()
@@ -1051,10 +1058,16 @@ func predInScope(p predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
 	return true
 }
 
-// assumeFormula converts an assume predicate to a formula over plain
-// variable names (reusing the WP machinery's conversion).
-func assumeFormula(op cfa.Op, s *core.Slicer, fresh *int) logic.Formula {
-	return wp.WPOp(logic.True, op, s.Alias, s.Addrs, fresh)
+// compiledOp returns e's operation converted for WP. A slot is filled
+// only once its conversion returned, so a conversion that panics is
+// retried, and contained, wherever the next post needs it.
+func (c *Checker) compiledOp(e *cfa.Edge) *wp.CompiledOp {
+	op := c.ops[e.ID]
+	if op == nil {
+		op = wp.CompileOp(e.Op, c.slicer.Alias, c.slicer.Addrs)
+		c.ops[e.ID] = op
+	}
+	return op
 }
 
 // extractPath walks parent pointers back to the root.

@@ -524,61 +524,3 @@ func (s *Solver) validateConj(model map[string]int64) bool {
 
 // Assertions returns the number of asserted formulas.
 func (s *Solver) Assertions() int { return len(s.asserted) }
-
-// UnsatCore returns a deletion-minimized subset of the asserted
-// formulas whose conjunction is still unsatisfiable. It must be called
-// after Check has returned StatusUnsat; it returns nil otherwise. The
-// indices into the assertion list are returned alongside the formulas
-// so callers can map core members back to trace operations.
-//
-// Minimization is the standard deletion filter: drop each member in
-// turn and keep the drop when the rest stays unsat — O(n) solver calls,
-// so it is skipped (returning the full set) beyond MaxCoreCandidates.
-// Every trial solve runs under ctx, and once ctx is done minimization
-// stops and the current core is returned: each member dropped so far
-// was proven redundant, so it is still unsatisfiable, only less
-// minimal. Because assertions are interned, the per-member triviality
-// test is a pointer comparison rather than a serialization.
-func (s *Solver) UnsatCore(ctx context.Context) ([]logic.Formula, []int) {
-	if !s.lastUns {
-		return nil, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	const maxCoreCandidates = 256
-	idx := make([]int, 0, len(s.asserted))
-	for i, f := range s.asserted {
-		if _, isTrue := f.(logic.Bool); isTrue && logic.Equal(f, logic.True) {
-			continue // trivially irrelevant
-		}
-		idx = append(idx, i)
-	}
-	if len(idx) > maxCoreCandidates {
-		fs := make([]logic.Formula, len(idx))
-		for k, i := range idx {
-			fs[k] = s.asserted[i]
-		}
-		return fs, idx
-	}
-	core := idx
-	for k := 0; k < len(core) && ctx.Err() == nil; k++ {
-		trial := make([]logic.Formula, 0, len(core)-1)
-		for j, i := range core {
-			if j == k {
-				continue
-			}
-			trial = append(trial, s.asserted[i])
-		}
-		s.Checks++
-		if SolveCtx(ctx, logic.MkAnd(trial...), s.lim).Status == StatusUnsat {
-			core = append(core[:k], core[k+1:]...)
-			k--
-		}
-	}
-	fs := make([]logic.Formula, len(core))
-	for k, i := range core {
-		fs[k] = s.asserted[i]
-	}
-	return fs, core
-}

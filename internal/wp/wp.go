@@ -16,6 +16,7 @@ package wp
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pathslice/internal/alias"
@@ -400,38 +401,106 @@ func (e *TraceEncoder) DecodeInitialState(model map[string]int64, prog *cfa.Prog
 // φ ∧ p for assumes, φ for calls and returns. Dereferences and nondet
 // right-hand sides are handled by havocking (fresh variables), which
 // over-approximates the precondition for the satisfiability queries the
-// model checker performs.
+// model checker performs. It compiles op and applies it once; a caller
+// that takes the WP of one operation many times keeps the CompiledOp.
 func WPOp(phi logic.Formula, op cfa.Op, al *alias.Info, addrs *AddrMap, freshID *int) logic.Formula {
-	mWPOps.Inc()
+	return CompileOp(op, al, addrs).WP(phi, freshID)
+}
+
+// CompiledOp is an operation converted once for WPOp: its predicate or
+// right-hand side over plain variable names, their dereference and
+// reification side constraints, and the variables an assignment
+// writes. The conversion ran with the fresh counter at 0, so its fresh
+// variables are $f1…$fN; WP renames them to the names a conversion at
+// the caller's counter would have minted.
+type CompiledOp struct {
+	kind  cfa.OpKind
+	pred  logic.Formula   // OpAssume
+	rhs   logic.Term      // OpAssign
+	side  []logic.Formula // side constraints of pred or rhs
+	fresh int             // N
+	// target is the one variable an assignment writes; havoc lists a
+	// store's may-targets when there is not exactly one.
+	target string
+	havoc  []string
+}
+
+// CompileOp converts op for repeated WP applications. Like WPOp it
+// panics on a variable the address map lacks (see MustAddr).
+func CompileOp(op cfa.Op, al *alias.Info, addrs *AddrMap) *CompiledOp {
+	c := &CompiledOp{kind: op.Kind}
 	switch op.Kind {
 	case cfa.OpAssume:
-		pred, side := predNoSSA(op.Pred, al, addrs, freshID)
-		return logic.MkAnd(append(side, pred, phi)...)
+		c.pred, c.side = predNoSSA(op.Pred, al, addrs, &c.fresh)
 	case cfa.OpAssign:
-		rhs, side := termNoSSA(op.RHS, al, addrs, freshID)
-		if !op.LHS.Deref {
-			sub := map[string]logic.Term{op.LHS.Var: rhs}
-			return logic.MkAnd(append(side, logic.Subst(phi, sub))...)
+		c.rhs, c.side = termNoSSA(op.RHS, al, addrs, &c.fresh)
+		c.target = op.LHS.Var
+		if op.LHS.Deref {
+			// Store through a pointer. With a singleton points-to set
+			// the target is definite: substitute exactly like a direct
+			// assignment. Otherwise havoc all may-targets (sound for the
+			// reachability overapproximation the checker needs).
+			c.target = ""
+			if targets := al.Pts(op.LHS.Var); len(targets) == 1 {
+				c.target = targets[0]
+			} else {
+				c.havoc = targets
+			}
 		}
-		// Store through a pointer. With a singleton points-to set the
-		// target is definite: substitute exactly like a direct
-		// assignment. Otherwise havoc all may-targets (sound for the
-		// reachability overapproximation the checker needs).
-		targets := al.Pts(op.LHS.Var)
-		if len(targets) == 1 {
-			sub := map[string]logic.Term{targets[0]: rhs}
-			return logic.MkAnd(append(side, logic.Subst(phi, sub))...)
-		}
-		sub := make(map[string]logic.Term)
-		for _, x := range targets {
-			*freshID++
-			sub[x] = logic.Var{Name: fmt.Sprintf("$h%d", *freshID)}
-		}
-		return logic.MkAnd(append(side, logic.Subst(phi, sub))...)
-	default:
+	}
+	return c
+}
+
+// WP returns WP.φ.op exactly as a conversion of op at *freshID would
+// build it, and advances *freshID past the fresh variables it minted:
+// the op's $f names, then one $h name per may-target a store havocs.
+func (c *CompiledOp) WP(phi logic.Formula, freshID *int) logic.Formula {
+	mWPOps.Inc()
+	if c.kind != cfa.OpAssume && c.kind != cfa.OpAssign {
 		return phi
 	}
+	pred, rhs, side := c.pred, c.rhs, c.side
+	if base := *freshID; c.fresh > 0 && base != 0 {
+		ren := make(map[string]logic.Term, c.fresh)
+		for j := 1; j <= c.fresh; j++ {
+			ren[freshName(j)] = logic.Var{Name: freshName(base + j)}
+		}
+		side = make([]logic.Formula, len(c.side))
+		for i, s := range c.side {
+			side[i] = logic.Subst(s, ren)
+		}
+		if c.kind == cfa.OpAssume {
+			pred = logic.Subst(pred, ren)
+		} else {
+			rhs = logic.SubstTerm(rhs, ren)
+		}
+	}
+	*freshID += c.fresh
+	if c.kind == cfa.OpAssume {
+		return conj(side, pred, phi)
+	}
+	if c.target != "" {
+		return conj(side, logic.Subst(phi, map[string]logic.Term{c.target: rhs}))
+	}
+	sub := make(map[string]logic.Term, len(c.havoc))
+	for _, x := range c.havoc {
+		*freshID++
+		sub[x] = logic.Var{Name: fmt.Sprintf("$h%d", *freshID)}
+	}
+	return conj(side, logic.Subst(phi, sub))
 }
+
+// conj is logic.MkAnd(side..., rest...), leaving side's array alone.
+func conj(side []logic.Formula, rest ...logic.Formula) logic.Formula {
+	if len(side) == 0 {
+		return logic.MkAnd(rest...)
+	}
+	fs := make([]logic.Formula, 0, len(side)+len(rest))
+	return logic.MkAnd(append(append(fs, side...), rest...)...)
+}
+
+// freshName is the name of the n-th fresh variable of a conversion.
+func freshName(n int) string { return "$f" + strconv.Itoa(n) }
 
 // WPTrace folds WPOp backward over a trace: WP.φ.(τ';op) =
 // WP.(WP.φ.op).τ'.
@@ -525,6 +594,6 @@ func addStrip(name string, sub map[string]logic.Term, freshID *int) {
 	}
 	if strings.HasPrefix(name, "$in") {
 		*freshID++
-		sub[name] = logic.Var{Name: fmt.Sprintf("$f%d", *freshID)}
+		sub[name] = logic.Var{Name: freshName(*freshID)}
 	}
 }
