@@ -1,17 +1,19 @@
 # Tier-1 gate: everything a PR must keep green. `make check` is the
-# canonical pre-merge command (build, vet, gofmt, full tests, the race
-# detector over the packages that share state across goroutines —
-# the solver cache shared by parallel CEGAR checks and slicerd
-# sessions, the dataflow query caches behind a shared Slicer, and
-# the obs metrics/trace layer — and the docs checker).
+# canonical pre-merge command: build, vet, gofmt, the full tests (the
+# deterministic performance gates of the root TestPerformanceGates
+# among them), the race detector over the packages that share state
+# across goroutines (the solver cache shared by parallel CEGAR checks
+# and slicerd sessions, the dataflow query caches behind a shared
+# Slicer, and the obs metrics/trace layer), the fuzz smoke, the oracle,
+# the docs checker, the daemon smokes and a short farm burst.
 
 GO ?= go
 
 RACE_PKGS = ./internal/cegar/ ./internal/cfa/ ./internal/client/ ./internal/core/ ./internal/dataflow/ ./internal/faults/ ./internal/interp/ ./internal/logic/ ./internal/obs/ ./internal/oracle/ ./internal/service/ ./internal/smt/
 
-.PHONY: check build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench bench-json bench-diff farm experiments
+.PHONY: check build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench farm experiments
 
-check: build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench-diff farm
+check: build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke farm
 
 build:
 	$(GO) build ./...
@@ -78,27 +80,10 @@ chaos-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Machine-readable performance artifact (suite wall time, solver-call
-# counts, early-unsat-stop speedup, the gcc-class summary sweep, oracle
-# corpus statistics). Not part of `make check` — it records numbers;
-# `make bench-diff` gates on them.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json
-
-# Gate: compares the two newest checked-in BENCH_PR*.json artifacts and
-# fails on a >20% regression of any deterministic metric (wall times
-# only when the host fingerprints match), and on the summary sweep
-# losing its sublinear walked-edge curve. Part of `make check`.
-bench-diff:
-	$(GO) run ./cmd/benchdiff
-
-# Time-budgeted verification farm (docs/PERFORMANCE.md): a planted-
-# regression benchdiff self-test, then iterations of the oracle
-# campaign and the parser and solver fuzz targets; with
-# a budget past ~90s each loop also regenerates BENCH_PR10.json in a
-# scratch workspace and benchdiff-gates it against the committed
-# baseline. `make farm FARMTIME=30m` for a soak; the default short
-# burst is part of `make check`.
+# Time-budgeted verification farm (docs/PERFORMANCE.md): iterations
+# of the oracle campaign, each with a fresh seed, and of the parser and
+# solver fuzz targets. `make farm FARMTIME=30m` for a soak; the default
+# short burst is part of `make check`.
 FARMTIME ?= 60s
 farm:
 	$(GO) run ./cmd/farm -time $(FARMTIME)

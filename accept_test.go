@@ -1,10 +1,14 @@
 package pathslice
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"pathslice/internal/bench"
 	"pathslice/internal/cegar"
+	"pathslice/internal/obs"
 	"pathslice/internal/synth"
 )
 
@@ -56,6 +60,171 @@ func TestSolverCacheReducesCallsFiveFold(t *testing.T) {
 		t.Errorf("solver-call reduction %.2fx < required 5x (on=%d, off=%d)",
 			ratio, on.SolverCalls, off.SolverCalls)
 	}
+}
+
+// gateWindow is how far a gated count may move from its baseline, as a
+// fraction of the baseline, before TestPerformanceGates fails.
+const gateWindow = 0.20
+
+// gate is one deterministic count of the performance gate and the
+// baseline it must stay near.
+type gate struct {
+	name      string
+	got, base int64
+}
+
+// fault says how g left its window, or returns "" when it did not. A
+// count above the window is a regression. A count below it fails too:
+// the baseline is stale (or, for slice edges, the slice shrank), and a
+// stale baseline would let a later regression of the same size pass.
+func (g gate) fault() string {
+	d := float64(g.got - g.base)
+	if math.Abs(d) <= gateWindow*float64(g.base) {
+		return ""
+	}
+	if d > 0 {
+		return fmt.Sprintf("%s regressed: baseline %d, now %d, outside the %.0f%% window",
+			g.name, g.base, g.got, 100*gateWindow)
+	}
+	return fmt.Sprintf("%s fell from its baseline %d to %d, outside the %.0f%% window: re-measure the baseline",
+		g.name, g.base, g.got, 100*gateWindow)
+}
+
+// table1Gates runs the six Table-1 profiles at scale 0.12 sequentially
+// and returns the solver calls, solver-cache lookups and CEGAR work
+// against their baselines. The baselines were measured on the
+// unmodified options; mod plants a change on top of them.
+func table1Gates(t *testing.T, mod func(*cegar.Options)) []gate {
+	t.Helper()
+	opts := cegar.Options{UseSlicing: true, MaxWork: acceptMaxWork}
+	if mod != nil {
+		mod(&opts)
+	}
+	var calls, lookups, work int64
+	for _, p := range synth.PaperProfiles(0.12) {
+		row, err := bench.RunBenchmark(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls += row.SolverCalls
+		lookups += row.CacheHits + row.CacheMisses
+		for _, c := range row.Checks {
+			work += int64(c.Work)
+		}
+	}
+	return []gate{
+		{"table1 solver calls", calls, 2814},
+		{"table1 solver-cache lookups", lookups, 7156},
+		{"table1 work", work, 80790},
+	}
+}
+
+// TestPerformanceGates holds the paper's measured quantities to
+// baselines, computed from the working tree: Table 1's solver work,
+// the incremental solver's early-unsat stop (§4.2), and the gcc-class
+// summary sweep behind Figure 6. Every gated number is a deterministic
+// count, so the gate needs no timing and no committed artifact; wall
+// time is perfbench's. A planted regression proves the gate can fail.
+func TestPerformanceGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table-1 run")
+	}
+	report := func(t *testing.T, gates []gate) {
+		t.Helper()
+		for _, g := range gates {
+			if f := g.fault(); f != "" {
+				t.Error(f)
+			} else {
+				t.Logf("%s: %d (baseline %d)", g.name, g.got, g.base)
+			}
+		}
+	}
+
+	t.Run("table1", func(t *testing.T) {
+		report(t, table1Gates(t, nil))
+	})
+
+	// Turning the abstract-post memo off moves neither solver calls
+	// nor work, since the solver cache answers what the memo did; only
+	// the cache lookups show it.
+	t.Run("planted-post-memo-off", func(t *testing.T) {
+		var faults []string
+		for _, g := range table1Gates(t, func(o *cegar.Options) { o.DisablePostMemo = true }) {
+			if f := g.fault(); f != "" {
+				faults = append(faults, f)
+			}
+		}
+		if len(faults) == 0 {
+			t.Fatal("the gate passed Table 1 with the post memo off")
+		}
+		t.Logf("caught: %s", strings.Join(faults, "; "))
+	})
+
+	// 300 guards: every taken assume is one check on the warm
+	// incremental solver until the x < 500 assume contradicts.
+	t.Run("early-stop", func(t *testing.T) {
+		prog, path, err := bench.GuardChainSetup(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.Default()
+		defer reg.SetEnabled(reg.Enabled())
+		reg.SetEnabled(true)
+		counters := []gate{
+			{name: "smt_incremental_reuse_total", base: 301},
+			{name: "smt_warm_start_hits_total", base: 300},
+			{name: "smt_warm_start_rebuilds_total", base: 0},
+		}
+		for i := range counters {
+			counters[i].got = -reg.Counter(counters[i].name).Value()
+		}
+		res, err := bench.EarlyStopIncremental(prog, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.KnownInfeasible {
+			t.Fatal("the incremental loop missed the unsatisfiable prefix")
+		}
+		for i := range counters {
+			counters[i].got += reg.Counter(counters[i].name).Value()
+		}
+		report(t, append([]gate{{"early stop solver checks", int64(res.Stats.SolverChecks), 302}}, counters...))
+	})
+
+	// Traces of about 10k, 20k and 40k operations: summaries keep the
+	// walk sublinear in trace length, and the streamed reader keeps
+	// its bounded window of 4 blocks of 1024 frames.
+	t.Run("summary-sweep", func(t *testing.T) {
+		rows, err := bench.SummarySweep(bench.DefaultGccConfig(), []int{43, 86, 172})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if r.StreamPeakFrames > 4096 {
+				t.Errorf("%d-op trace held %d frames resident, window is 4096", r.TraceOps, r.StreamPeakFrames)
+			}
+			if i == 0 {
+				continue
+			}
+			prev := rows[i-1]
+			if ops := float64(r.TraceOps) / float64(prev.TraceOps); ops < 1.7 || ops > 2.3 {
+				t.Errorf("trace ops %d -> %d scale by %.2fx, want a doubling", prev.TraceOps, r.TraceOps, ops)
+				continue
+			}
+			growth := float64(r.SummarizedWalked) / float64(prev.SummarizedWalked)
+			t.Logf("%d -> %d ops: summarized walked %d -> %d (%.2fx per doubling)",
+				prev.TraceOps, r.TraceOps, prev.SummarizedWalked, r.SummarizedWalked, growth)
+			if growth >= 1.8 {
+				t.Errorf("summarized walked edges grew %.2fx per doubling (%d -> %d), want < 1.8x",
+					growth, prev.SummarizedWalked, r.SummarizedWalked)
+			}
+		}
+		last := rows[len(rows)-1]
+		report(t, []gate{
+			{"sweep walked edges at 40k", int64(last.SummarizedWalked), 1266},
+			{"sweep slice edges at 40k", int64(last.SliceEdges), 9292},
+		})
+	})
 }
 
 // TestParallelBenchmarkDeterminism asserts that parallel cluster

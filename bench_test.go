@@ -145,8 +145,8 @@ func BenchmarkFigure6_GccSlicing(b *testing.B) {
 // (internal/summ) on the call-heavy gcc-class subject: a ~40k-op trace
 // of deep repeated call chains, sliced plain and summarized. The
 // walked-edge metrics expose the deterministic work reduction the
-// wall-time ratio comes from; `make bench-json` records the full
-// 10k/20k/40k doubling sweep in BENCH_PR6.json.
+// wall-time ratio comes from; TestPerformanceGates gates the full
+// 10k/20k/40k doubling sweep.
 func BenchmarkSummarizedSlice(b *testing.B) {
 	prog, target, err := bench.CallHeavySetup(bench.DefaultGccConfig())
 	if err != nil {

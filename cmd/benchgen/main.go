@@ -6,16 +6,15 @@
 // (bench.CallHeavySource): deep call chains invoked repeatedly from a
 // loop, the trace shape on which the frame summaries of internal/summ
 // pay off. -chains, -depth, and -bodyops shape it; feed the output to
-// `pathslice -long -trace-file t.pstrc -stream` to
-// reproduce the BENCH_PR6.json regime by hand.
+// `pathslice -long -trace-file t.pstrc -stream` to reproduce by hand
+// the summary sweep that the root TestPerformanceGates gates.
 //
 // With -threads it emits the concurrency twin pair
 // (bench.ConcTwinSource): the same worker workload once with
-// spawn/join and once serialized, the subject of the BENCH_PR10.json
-// `concurrency` section whose walked-edge ratio `make bench-diff`
-// gates at 1.5x (docs/CONCURRENCY.md). -workers and -bodyops shape
-// it; record an interleaving with `minirun -conc -conc-trace-out` and
-// slice it with `pathslice -conc-trace`.
+// spawn/join and once serialized, whose walked-edge ratio
+// TestCompareConcTwin gates at 1.5x (docs/CONCURRENCY.md). -workers
+// and -bodyops shape it; record an interleaving with `minirun -conc
+// -conc-trace-out` and slice it with `pathslice -conc-trace`.
 //
 // Usage:
 //

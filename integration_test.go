@@ -104,6 +104,15 @@ void main() {
 		}
 	})
 
+	t.Run("pathslice-portfolio-batch-removed", func(t *testing.T) {
+		// The batched feasibility route is gone, and its flag with it:
+		// the flag package rejects it as a usage error.
+		out := runExit(t, 2, tools["pathslice"], "-portfolio-batch", "testdata/ex2.mc")
+		if !strings.Contains(out, "flag provided but not defined: -portfolio-batch") {
+			t.Errorf("want an unknown-flag error:\n%s", out)
+		}
+	})
+
 	t.Run("pathslice-trace-annotations", func(t *testing.T) {
 		out, err := run(t, tools["pathslice"], "-trace", "testdata/overdraft.mc")
 		if err != nil {

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
@@ -18,8 +17,8 @@ import (
 // threaded twin executes the same per-worker operations as the
 // serialized twin, so the cross-thread walk (docs/CONCURRENCY.md) has
 // a like-for-like baseline: the extra cost of slicing over racy edges
-// is the walked-edge ratio between the two, and cmd/benchdiff gates
-// that ratio at 1.5x.
+// is the walked-edge ratio between the two, and TestCompareConcTwin
+// gates that ratio at 1.5x.
 
 // ConcTwinConfig shapes the twin workload.
 type ConcTwinConfig struct {
@@ -32,7 +31,7 @@ type ConcTwinConfig struct {
 	BodyOps int
 }
 
-// DefaultConcTwinConfig is the shape `make bench-json` records:
+// DefaultConcTwinConfig is the shape TestCompareConcTwin gates:
 // 3 workers x 40 body ops, ~190 trace events.
 func DefaultConcTwinConfig() ConcTwinConfig {
 	return ConcTwinConfig{Workers: 3, BodyOps: 40}
@@ -79,44 +78,28 @@ func ConcTwinSource(cfg ConcTwinConfig, threaded bool) string {
 	return sb.String()
 }
 
-// ConcComparison is the twin comparison `make bench-json` records as
-// the `concurrency` section; cmd/benchdiff gates WalkRatio.
+// ConcComparison is the twin comparison; TestCompareConcTwin gates
+// WalkRatio.
 type ConcComparison struct {
-	Workers int `json:"workers"`
-	BodyOps int `json:"body_ops"`
-	// SchedSeed is the first scheduler seed whose interleaving reached
-	// the error; the comparison is deterministic given the seed.
-	SchedSeed uint64 `json:"sched_seed"`
-	// ThreadedEvents/SerialEvents are the recorded trace lengths.
-	ThreadedEvents int `json:"threaded_events"`
-	SerialEvents   int `json:"serial_events"`
 	// ThreadedWalked/SerialWalked are the deterministic Take
 	// evaluation counts (core.Stats.WalkedEdges) of the cross-thread
 	// and sequential walks; WalkRatio is their quotient, the price of
-	// slicing over racy edges. cmd/benchdiff fails above 1.5.
-	ThreadedWalked int     `json:"threaded_walked"`
-	SerialWalked   int     `json:"serial_walked"`
-	WalkRatio      float64 `json:"walk_ratio"`
+	// slicing over racy edges. TestCompareConcTwin fails above 1.5.
+	ThreadedWalked int
+	SerialWalked   int
+	WalkRatio      float64
 	// The inter-thread phase's shape, sanity-gated nonzero so the
 	// comparison cannot silently degenerate to one thread.
-	Threads    int `json:"threads"`
-	RacyEdges  int `json:"racy_edges"`
-	Regions    int `json:"regions"`
-	SliceEdges int `json:"slice_edges"`
-	// Best-of-reps wall times for the two slicer walks.
-	ThreadedMS float64 `json:"threaded_ms"`
-	SerialMS   float64 `json:"serial_ms"`
+	Threads   int
+	RacyEdges int
 }
 
 // CompareConcTwin records one threaded error interleaving and the
-// serialized twin's error path, slices both (best of reps timed
-// runs, fresh slicer each), and reports the walked-edge ratio.
-func CompareConcTwin(cfg ConcTwinConfig, reps int) (*ConcComparison, error) {
+// serialized twin's error path, slices both, and reports the
+// walked-edge ratio.
+func CompareConcTwin(cfg ConcTwinConfig) (*ConcComparison, error) {
 	if cfg.Workers == 0 {
 		cfg = DefaultConcTwinConfig()
-	}
-	if reps <= 0 {
-		reps = 3
 	}
 	tprog, err := compile.Source(ConcTwinSource(cfg, true))
 	if err != nil {
@@ -127,11 +110,10 @@ func CompareConcTwin(cfg ConcTwinConfig, reps int) (*ConcComparison, error) {
 		return nil, fmt.Errorf("bench: serialized twin: %w", err)
 	}
 
-	cmpRes := &ConcComparison{Workers: cfg.Workers, BodyOps: cfg.BodyOps}
-
 	// Record the threaded interleaving: first scheduler seed that
 	// reaches the error (the guard holds under every interleaving, so
-	// seed 0 already does; the sweep is belt and braces).
+	// seed 0 already does; the sweep is belt and braces). The
+	// comparison is deterministic given the seed.
 	var tr cfa.ConcTrace
 	for seed := uint64(0); seed < 64; seed++ {
 		st := interp.NewState(tprog, wp.NewAddrMap(tprog))
@@ -139,7 +121,7 @@ func CompareConcTwin(cfg ConcTwinConfig, reps int) (*ConcComparison, error) {
 			RecordTrace: true, Seed: seed,
 		})
 		if res.ReachedError {
-			tr, cmpRes.SchedSeed = res.Trace, seed
+			tr = res.Trace
 			break
 		}
 	}
@@ -153,36 +135,21 @@ func CompareConcTwin(cfg ConcTwinConfig, reps int) (*ConcComparison, error) {
 	if !sres.ReachedError {
 		return nil, fmt.Errorf("bench: serialized twin did not reach the error")
 	}
-	cmpRes.ThreadedEvents, cmpRes.SerialEvents = len(tr), len(sres.Path)
 
-	var tcres *core.ConcResult
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < reps; i++ {
-		slicer := core.New(tprog)
-		t0 := time.Now()
-		r, err := slicer.ConcSlice(tr)
-		d := time.Since(t0)
-		if err != nil {
-			return nil, err
-		}
-		if d < best {
-			best = d
-		}
-		tcres = r
-	}
-	cmpRes.ThreadedMS = float64(best.Microseconds()) / 1000
-	cmpRes.ThreadedWalked = tcres.Stats.WalkedEdges
-	cmpRes.Threads = tcres.Stats.Threads
-	cmpRes.RacyEdges = tcres.Stats.RacyEdges
-	cmpRes.Regions = tcres.Stats.Regions
-	cmpRes.SliceEdges = tcres.Stats.SliceEdges
-
-	var scres *core.Result
-	cmpRes.SerialMS, scres, err = timeSlice(sprog, sres.Path, core.Options{}, reps)
+	tcres, err := core.New(tprog).ConcSlice(tr)
 	if err != nil {
 		return nil, err
 	}
-	cmpRes.SerialWalked = scres.Stats.WalkedEdges
+	scres, err := core.New(sprog).Slice(sres.Path)
+	if err != nil {
+		return nil, err
+	}
+	cmpRes := &ConcComparison{
+		ThreadedWalked: tcres.Stats.WalkedEdges,
+		SerialWalked:   scres.Stats.WalkedEdges,
+		Threads:        tcres.Stats.Threads,
+		RacyEdges:      tcres.Stats.RacyEdges,
+	}
 	if cmpRes.SerialWalked > 0 {
 		cmpRes.WalkRatio = float64(cmpRes.ThreadedWalked) / float64(cmpRes.SerialWalked)
 	}

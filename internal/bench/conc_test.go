@@ -20,12 +20,12 @@ func TestConcTwinSources(t *testing.T) {
 	}
 }
 
-// TestCompareConcTwin holds the in-process comparison to the same
-// bounds cmd/benchdiff gates the artifact on: a genuinely concurrent
-// trace (>= 2 threads, racy edges present) whose cross-thread walk
-// stays within 1.5x of the serialized twin's walked edges.
+// TestCompareConcTwin gates the twin comparison: a genuinely
+// concurrent trace (>= 2 threads, racy edges present) whose
+// cross-thread walk stays within 1.5x of the serialized twin's walked
+// edges.
 func TestCompareConcTwin(t *testing.T) {
-	c, err := CompareConcTwin(DefaultConcTwinConfig(), 1)
+	c, err := CompareConcTwin(DefaultConcTwinConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

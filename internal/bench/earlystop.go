@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
@@ -16,8 +15,8 @@ import (
 // Early-unsat-stop micro-benchmark (§4.2): the same backward loop run
 // two ways — through the incremental solver (assert the delta, check)
 // and as the from-scratch baseline that re-solves the whole asserted
-// prefix at every check. Used by BenchmarkEarlyUnsatStop at the repo
-// root and by cmd/benchjson for BENCH_PR5.json.
+// prefix at every check. Used by BenchmarkEarlyUnsatStop and
+// TestPerformanceGates at the repo root.
 
 // GuardChainSource returns a MiniC program whose error path carries
 // guards+2 taken assumes before the backward pass reaches the
@@ -82,48 +81,4 @@ func EarlyStopScratch(prog *cfa.Program, path cfa.Path) (int, error) {
 		}
 	}
 	return checks, fmt.Errorf("bench: scratch loop never found the prefix unsatisfiable")
-}
-
-// EarlyStopComparison is one timed incremental-vs-scratch run.
-type EarlyStopComparison struct {
-	Guards        int     `json:"guards"`
-	TakenAssumes  int     `json:"taken_assumes"`
-	SolverChecks  int     `json:"solver_checks"`
-	IncrementalMS float64 `json:"incremental_ms"`
-	ScratchMS     float64 `json:"scratch_ms"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// CompareEarlyStop times one pass of each loop variant over the same
-// guard-chain path.
-func CompareEarlyStop(guards int) (*EarlyStopComparison, error) {
-	prog, path, err := GuardChainSetup(guards)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res, err := EarlyStopIncremental(prog, path)
-	incMS := float64(time.Since(t0).Microseconds()) / 1000
-	if err != nil {
-		return nil, err
-	}
-	if !res.KnownInfeasible {
-		return nil, fmt.Errorf("bench: incremental loop missed the unsatisfiable prefix")
-	}
-	t1 := time.Now()
-	if _, err := EarlyStopScratch(prog, path); err != nil {
-		return nil, err
-	}
-	scrMS := float64(time.Since(t1).Microseconds()) / 1000
-	cmp := &EarlyStopComparison{
-		Guards:        guards,
-		TakenAssumes:  res.Stats.TakenAssume,
-		SolverChecks:  res.Stats.SolverChecks,
-		IncrementalMS: incMS,
-		ScratchMS:     scrMS,
-	}
-	if incMS > 0 {
-		cmp.Speedup = scrMS / incMS
-	}
-	return cmp, nil
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
@@ -14,16 +13,16 @@ import (
 )
 
 // Gcc-class summary sweep: the frame-summary benchmark behind
-// BenchmarkSummarizedSlice and the `summary_sweep` series of
-// BENCH_PR6.json. The subject is a program whose error trace is
-// dominated by deep, repeated call chains — the shape of the paper's
-// gcc counterexamples (§5, Figure 6), where a depth-first model
-// checker unrolls the same procedures thousands of times. A plain
-// backward walk pays the full Take evaluation on every edge of every
-// repetition; the context-keyed summaries (internal/summ) pay it once
-// per distinct (frame, projected live set) and replay the memoized
-// decisions afterwards, so doubling the trace length grows slice time
-// by well under 2x. `make bench-diff` gates on exactly that ratio.
+// BenchmarkSummarizedSlice and the root TestPerformanceGates. The
+// subject is a program whose error trace is dominated by deep, repeated
+// call chains — the shape of the paper's gcc counterexamples (§5,
+// Figure 6), where a depth-first model checker unrolls the same
+// procedures thousands of times. A plain backward walk pays the full
+// Take evaluation on every edge of every repetition; the context-keyed
+// summaries (internal/summ) pay it once per distinct (frame, projected
+// live set) and replay the memoized decisions afterwards, so doubling
+// the trace length grows the walked edges by well under 2x.
+// TestPerformanceGates gates exactly that ratio.
 
 // CallHeavyConfig shapes the gcc-class subject for the summary sweep.
 type CallHeavyConfig struct {
@@ -43,7 +42,7 @@ type CallHeavyConfig struct {
 	BodyOps int
 }
 
-// DefaultGccConfig is the sweep shape used by `make bench-json`:
+// DefaultGccConfig is the sweep shape TestPerformanceGates gates:
 // roughly 330 trace operations per loop iteration, of which only ~60
 // land in the slice.
 func DefaultGccConfig() CallHeavyConfig {
@@ -93,38 +92,25 @@ func CallHeavySetup(cfg CallHeavyConfig) (*cfa.Program, *cfa.Loc, error) {
 
 // SummarySweepRow is one trace-length point of the sweep.
 type SummarySweepRow struct {
-	Unroll     int `json:"unroll"`
-	TraceOps   int `json:"trace_ops"`
-	SliceEdges int `json:"slice_edges"`
-	// BaselineWalked/SummarizedWalked are the deterministic Take
-	// evaluation counts (core.Stats.WalkedEdges) of the two walks.
-	// The summarized series is the machine-checked sublinearity claim:
-	// cmd/benchdiff requires its per-doubling growth to stay under
-	// 1.8x, which wall time — noisy on shared hosts — could not gate
-	// reliably.
-	BaselineWalked   int     `json:"baseline_walked"`
-	SummarizedWalked int     `json:"summarized_walked"`
-	BaselineMS       float64 `json:"baseline_ms"`
-	SummarizedMS     float64 `json:"summarized_ms"`
-	Speedup          float64 `json:"speedup"`
-	SummaryHits      int     `json:"summary_hits"`
-	SummaryMisses    int     `json:"summary_misses"`
-	StreamPeakFrames int     `json:"stream_peak_frames"`
+	TraceOps   int
+	SliceEdges int
+	// SummarizedWalked is the summarized walk's deterministic Take
+	// evaluation count (core.Stats.WalkedEdges): the machine-checked
+	// sublinearity claim. TestPerformanceGates requires its
+	// per-doubling growth to stay under 1.8x, which wall time — noisy
+	// on shared hosts — could not gate reliably.
+	SummarizedWalked int
+	StreamPeakFrames int
 }
 
 // SummarySweep slices one WalkLongPath trace per unrolling bound, each
-// both ways — plain walk and summarized — and reports the better of
-// reps timed runs per variant (fresh slicer each run: the memo warms
-// within a trace, not across runs, so the sublinearity shown is the
-// honest cold-slicer curve). Each trace is also round-tripped through
-// a PSTRC file and sliced with SliceStream to record the bounded
-// resident-frame peak and to cross-check that the streamed slice is
-// identical. Rows are gated by cmd/benchdiff: the per-doubling growth
-// of SummarizedWalked must stay under 1.8x.
-func SummarySweep(cfg CallHeavyConfig, unrolls []int, reps int) ([]SummarySweepRow, error) {
-	if reps <= 0 {
-		reps = 3
-	}
+// both ways — plain walk and summarized, each on a fresh slicer, so
+// the memo warms only within the trace and the curve is the cold
+// slicer's. The two slices must agree. Each trace is also
+// round-tripped through a PSTRC file and sliced with SliceStream to
+// record the bounded resident-frame peak and to cross-check that the
+// streamed slice is identical.
+func SummarySweep(cfg CallHeavyConfig, unrolls []int) ([]SummarySweepRow, error) {
 	prog, target, err := CallHeavySetup(cfg)
 	if err != nil {
 		return nil, err
@@ -141,14 +127,13 @@ func SummarySweep(cfg CallHeavyConfig, unrolls []int, reps int) ([]SummarySweepR
 		if path == nil {
 			return nil, fmt.Errorf("bench: no length-%d walk to the error location", k)
 		}
-		row := SummarySweepRow{Unroll: k, TraceOps: len(path)}
+		row := SummarySweepRow{TraceOps: len(path)}
 
-		var base, summ *core.Result
-		row.BaselineMS, base, err = timeSlice(prog, path, core.Options{}, reps)
+		base, err := core.New(prog).Slice(path)
 		if err != nil {
 			return nil, err
 		}
-		row.SummarizedMS, summ, err = timeSlice(prog, path, core.Options{Summaries: true}, reps)
+		summ, err := core.NewWithOptions(prog, core.Options{Summaries: true}).Slice(path)
 		if err != nil {
 			return nil, err
 		}
@@ -157,13 +142,7 @@ func SummarySweep(cfg CallHeavyConfig, unrolls []int, reps int) ([]SummarySweepR
 				k, summ.Stats.SliceEdges, base.Stats.SliceEdges)
 		}
 		row.SliceEdges = base.Stats.SliceEdges
-		row.BaselineWalked = base.Stats.WalkedEdges
 		row.SummarizedWalked = summ.Stats.WalkedEdges
-		row.SummaryHits = summ.Stats.SummaryHits
-		row.SummaryMisses = summ.Stats.SummaryMisses
-		if row.SummarizedMS > 0 {
-			row.Speedup = row.BaselineMS / row.SummarizedMS
-		}
 
 		traceFile := filepath.Join(dir, fmt.Sprintf("k%d.pstrc", k))
 		if err := cfa.WriteTraceFile(traceFile, prog, path); err != nil {
@@ -188,39 +167,4 @@ func SummarySweep(cfg CallHeavyConfig, unrolls []int, reps int) ([]SummarySweepR
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// timeSlice runs reps cold slices of path under opts and returns the
-// fastest wall time in milliseconds plus the (identical) last result.
-func timeSlice(prog *cfa.Program, path cfa.Path, opts core.Options, reps int) (float64, *core.Result, error) {
-	best := time.Duration(1<<63 - 1)
-	var res *core.Result
-	for i := 0; i < reps; i++ {
-		slicer := core.NewWithOptions(prog, opts)
-		t0 := time.Now()
-		r, err := slicer.Slice(path)
-		d := time.Since(t0)
-		if err != nil {
-			return 0, nil, err
-		}
-		if d < best {
-			best = d
-		}
-		res = r
-	}
-	return float64(best.Microseconds()) / 1000, res, nil
-}
-
-// RenderSummarySweep formats the sweep as an aligned table for
-// EXPERIMENTS.md and the experiments command.
-func RenderSummarySweep(rows []SummarySweepRow) string {
-	var sb strings.Builder
-	sb.WriteString("trace_ops  slice  walked(base)  walked(summ)  baseline_ms  summarized_ms  speedup  hits   misses  peak_frames\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%9d  %5d  %12d  %12d  %11.2f  %13.2f  %6.1fx  %5d  %6d  %11d\n",
-			r.TraceOps, r.SliceEdges, r.BaselineWalked, r.SummarizedWalked,
-			r.BaselineMS, r.SummarizedMS, r.Speedup,
-			r.SummaryHits, r.SummaryMisses, r.StreamPeakFrames)
-	}
-	return sb.String()
 }

@@ -184,9 +184,9 @@ type Stats struct {
 	// summary or bypassed by a skip jump. It is the deterministic
 	// measure of summarization: on a plain walk it tracks the input
 	// length; with a warm memo it collapses to the inter-call skeleton
-	// plus one recording pass per distinct context. `make bench-diff`
-	// gates the gcc-class sublinearity claim on this counter, not on
-	// wall time (docs/PERFORMANCE.md).
+	// plus one recording pass per distinct context. The root
+	// TestPerformanceGates gates the gcc-class sublinearity claim on
+	// this counter, not on wall time (docs/PERFORMANCE.md).
 	WalkedEdges int
 }
 
@@ -951,28 +951,6 @@ func (s *Slicer) CheckFeasibilityCtx(ctx context.Context, p cfa.Path) (smt.Resul
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(p.Ops())
 	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
-}
-
-// CheckFeasibilityBatchCtx decides feasibility of several paths in one
-// batched solver call (smt.SolveBatchCtx): queries are answered from
-// the cache where possible, grouped by shared variable support, and
-// walked on per-group incremental solvers so common trace prefixes are
-// asserted once. Results are in input order; workers bounds concurrent
-// groups (<=1 means serial). Verdict semantics match per-path
-// CheckFeasibilityCtx.
-func (s *Slicer) CheckFeasibilityBatchCtx(ctx context.Context, paths []cfa.Path, cache *smt.Cache, workers int) []smt.Result {
-	sp := obs.StartSpan(obs.PhaseFeasibility)
-	defer sp.End()
-	fs := make([]logic.Formula, len(paths))
-	for i, p := range paths {
-		enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
-		fs[i] = enc.EncodeTrace(p.Ops())
-	}
-	return smt.SolveBatchCtx(ctx, fs, smt.BatchOptions{
-		Workers: workers,
-		Cache:   cache,
-		Lim:     s.Opts.SolverLimits,
-	})
 }
 
 // TraceFormula returns the forward SSA constraint formula of a path's

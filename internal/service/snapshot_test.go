@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -147,6 +148,52 @@ func TestSnapshotRoundTripWarmsEverything(t *testing.T) {
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
 			t.Fatalf("restored server diverged from cold server:\n got %+v\nwant %+v", got, want)
 		}
+	}
+}
+
+// srcRestart's callee mutates a variable that is live at the error
+// guard, so its frames are summarized: the snapshot carries programs,
+// summaries and solver verdicts, and the restored first request
+// replays all three.
+const srcRestart = `
+int x;
+int a;
+void bump() {
+  x = x + 1;
+}
+void main() {
+  x = 0;
+  for (int i = 0; i < 40; i = i + 1) { bump(); }
+  if (a >= 0) {
+    if (x > 100) {
+      error;
+    }
+  }
+}
+`
+
+// TestRestoredBeatsCold: a snapshot must pay for itself across a
+// restart. A fresh server's first slice of srcRestart is the cold
+// request; that server replays it once and saves, and the first
+// request of a server restored from the snapshot is timed against it.
+// Each side keeps its fastest of timedRounds save and restore cycles.
+func TestRestoredBeatsCold(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "warm.snap")
+	req := SliceRequest{Source: srcRestart, Long: true, Unroll: 30}
+	cold, restored := math.Inf(1), math.Inf(1)
+	for i := 0; i < timedRounds; i++ {
+		sv := newSnapServer(t, Config{})
+		cold = min(cold, postSlice(t, sv.ts, req).ElapsedMS)
+		postSlice(t, sv.ts, req)
+		if err := sv.s.SaveSnapshot(snap); err != nil {
+			t.Fatalf("SaveSnapshot: %v", err)
+		}
+		rs := newSnapServer(t, Config{SnapshotPath: snap})
+		restored = min(restored, postSlice(t, rs.ts, req).ElapsedMS)
+	}
+	t.Logf("cold first %.2f ms, restored first %.2f ms (best of %d each)", cold, restored, timedRounds)
+	if restored >= cold {
+		t.Errorf("restored first request (%.2f ms) not faster than cold (%.2f ms)", restored, cold)
 	}
 }
 

@@ -81,22 +81,14 @@ func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// Solve decides f, consulting and populating the cache.
-func (c *Cache) Solve(f logic.Formula) Result { return c.SolveWithLimits(f, Limits{}) }
-
-// SolveWithLimits decides f under explicit limits, consulting and
-// populating the cache. Cached verdicts are returned regardless of lim:
-// they are definitive for any limit setting.
-func (c *Cache) SolveWithLimits(f logic.Formula, lim Limits) Result {
-	return c.SolveCtx(context.Background(), f, lim)
-}
-
 // SolveCtx decides f under ctx and explicit limits, consulting and
 // populating the cache: canonical-key lookup, the CacheEvict fault
 // draw, one decision-procedure run on miss, and a
 // definitive-verdicts-only store. A cancelled or deadline-expired
 // solve returns StatusUnknown and is never stored, so a timeout can
-// never poison the cache with a wrong verdict.
+// never poison the cache with a wrong verdict. Cached verdicts are
+// returned regardless of lim: they are definitive for any limit
+// setting.
 func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
 	key := logic.Key(f)
 	// Fault injection (docs/ROBUSTNESS.md): drop the entry before the
@@ -116,9 +108,7 @@ func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Resul
 	return r
 }
 
-// peek looks key up, counting a hit or a miss. The batch solver uses it
-// to pre-filter batches so its hit/miss accounting matches the serial
-// path exactly.
+// peek looks key up, counting a hit or a miss.
 func (c *Cache) peek(key string) (Status, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -245,15 +235,9 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// CachedSolve decides f through cache c; a nil cache falls back to the
-// plain solver, so callers can thread an optional cache without
-// branching.
-func CachedSolve(c *Cache, f logic.Formula) Result {
-	return CachedSolveCtx(context.Background(), c, f, Limits{})
-}
-
-// CachedSolveCtx is CachedSolve with a context and explicit limits: a
-// nil cache falls back to SolveCtx directly.
+// CachedSolveCtx decides f through cache c under ctx and explicit
+// limits; a nil cache falls back to SolveCtx directly, so callers can
+// thread an optional cache without branching.
 func CachedSolveCtx(ctx context.Context, c *Cache, f logic.Formula, lim Limits) Result {
 	if c == nil {
 		return SolveCtx(ctx, f, lim)

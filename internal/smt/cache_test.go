@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -20,12 +21,13 @@ func unsatFormula(v string) logic.Formula {
 }
 
 func TestCacheHitMiss(t *testing.T) {
+	ctx := context.Background()
 	c := NewCache(0) // default capacity
 	f := unsatFormula("x")
-	if r := c.Solve(f); r.Status != StatusUnsat {
+	if r := c.SolveCtx(ctx, f, Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
-	if r := c.Solve(f); r.Status != StatusUnsat {
+	if r := c.SolveCtx(ctx, f, Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status on hit: %v", r.Status)
 	}
 	st := c.Stats()
@@ -37,31 +39,33 @@ func TestCacheHitMiss(t *testing.T) {
 func TestCacheHitsAcrossFreshRenaming(t *testing.T) {
 	// The canonical key makes queries minted under different fresh
 	// counters share an entry: the second solve must be a hit.
+	ctx := context.Background()
 	c := NewCache(0)
-	if r := c.Solve(unsatFormula("$f17")); r.Status != StatusUnsat {
+	if r := c.SolveCtx(ctx, unsatFormula("$f17"), Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
-	if r := c.Solve(unsatFormula("$f9000")); r.Status != StatusUnsat {
+	if r := c.SolveCtx(ctx, unsatFormula("$f9000"), Limits{}); r.Status != StatusUnsat {
 		t.Fatalf("status: %v", r.Status)
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Errorf("renamed query should hit: %+v", st)
 	}
 	// A program variable is not renamed: different var, different entry.
-	c.Solve(unsatFormula("x"))
-	c.Solve(unsatFormula("y"))
+	c.SolveCtx(ctx, unsatFormula("x"), Limits{})
+	c.SolveCtx(ctx, unsatFormula("y"), Limits{})
 	if st := c.Stats(); st.Misses != 3 {
 		t.Errorf("program-variable queries must miss separately: %+v", st)
 	}
 }
 
 func TestCacheHitOmitsModel(t *testing.T) {
+	ctx := context.Background()
 	c := NewCache(0)
-	first := c.Solve(satFormula("$in1"))
+	first := c.SolveCtx(ctx, satFormula("$in1"), Limits{})
 	if first.Status != StatusSat || first.Model == nil {
 		t.Fatalf("first solve: %+v", first)
 	}
-	second := c.Solve(satFormula("$in2"))
+	second := c.SolveCtx(ctx, satFormula("$in2"), Limits{})
 	if second.Status != StatusSat {
 		t.Fatalf("hit status: %v", second.Status)
 	}
@@ -71,10 +75,11 @@ func TestCacheHitOmitsModel(t *testing.T) {
 }
 
 func TestCacheEvictionBound(t *testing.T) {
+	ctx := context.Background()
 	const capacity = 32
 	c := NewCache(capacity)
 	for i := 0; i < 10*capacity; i++ {
-		c.Solve(logic.Cmp{Op: logic.CmpGt, X: logic.Var{Name: fmt.Sprintf("v%d", i)}, Y: logic.Const{V: int64(i)}})
+		c.SolveCtx(ctx, logic.Cmp{Op: logic.CmpGt, X: logic.Var{Name: fmt.Sprintf("v%d", i)}, Y: logic.Const{V: int64(i)}}, Limits{})
 	}
 	st := c.Stats()
 	if st.Entries > capacity {
@@ -86,6 +91,7 @@ func TestCacheEvictionBound(t *testing.T) {
 }
 
 func TestCacheConcurrent(t *testing.T) {
+	ctx := context.Background()
 	c := NewCache(128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -94,10 +100,10 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				f := unsatFormula(fmt.Sprintf("v%d", i%10))
-				if r := c.Solve(f); r.Status != StatusUnsat {
+				if r := c.SolveCtx(ctx, f, Limits{}); r.Status != StatusUnsat {
 					t.Errorf("goroutine %d: status %v", g, r.Status)
 				}
-				if r := c.Solve(satFormula(fmt.Sprintf("$f%d", g*100+i))); r.Status != StatusSat {
+				if r := c.SolveCtx(ctx, satFormula(fmt.Sprintf("$f%d", g*100+i)), Limits{}); r.Status != StatusSat {
 					t.Errorf("goroutine %d: sat status %v", g, r.Status)
 				}
 			}
@@ -111,7 +117,7 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestCachedSolveNilCache(t *testing.T) {
-	r := CachedSolve(nil, unsatFormula("x"))
+	r := CachedSolveCtx(context.Background(), nil, unsatFormula("x"), Limits{})
 	if r.Status != StatusUnsat {
 		t.Errorf("nil cache must fall through to Solve: %v", r.Status)
 	}

@@ -34,15 +34,4 @@ var (
 	// budget exhaustions that forced a from-scratch tableau rebuild.
 	mWarmStartHits     = obs.Default().Counter("smt_warm_start_hits_total")
 	mWarmStartRebuilds = obs.Default().Counter("smt_warm_start_rebuilds_total")
-
-	// Batch metrics (batch.go). mBatchQueries counts queries decided
-	// through SolveBatchCtx; groups counts support-disjoint groups
-	// formed; reused counts asserted conjuncts answered from a shared
-	// prefix already on the group solver's trail (the batch-mode
-	// analogue of warm reuse). The series keep their
-	// smt_portfolio_batch_* names so they line up with the
-	// solver_counters of the committed BENCH_PR*.json artifacts.
-	mBatchQueries = obs.Default().Counter("smt_portfolio_batch_total")
-	mBatchGroups  = obs.Default().Counter("smt_portfolio_batch_groups_total")
-	mBatchReused  = obs.Default().Counter("smt_portfolio_batch_reused_total")
 )

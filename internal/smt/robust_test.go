@@ -155,7 +155,7 @@ func TestCacheConcurrentWithInjectedEvictions(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for _, tc := range cases {
-					if st := cache.Solve(tc.f).Status; st != tc.want {
+					if st := cache.SolveCtx(context.Background(), tc.f, Limits{}).Status; st != tc.want {
 						select {
 						case errs <- st.String() + " != " + tc.want.String():
 						default:
@@ -186,12 +186,12 @@ func TestUnknownIsNeverCached(t *testing.T) {
 		Seed:  9,
 		Rates: map[faults.Kind]float64{faults.SolverUnknown: 1},
 	}))
-	if st := cache.Solve(f).Status; st != StatusUnknown {
+	if st := cache.SolveCtx(context.Background(), f, Limits{}).Status; st != StatusUnknown {
 		faults.Install(prev)
 		t.Fatalf("forced-unknown solve answered %v", st)
 	}
 	faults.Install(prev)
-	if st := cache.Solve(f).Status; st != StatusSat {
+	if st := cache.SolveCtx(context.Background(), f, Limits{}).Status; st != StatusSat {
 		t.Fatalf("post-fault solve answered %v, want Sat (unknown must not be cached)", st)
 	}
 }

@@ -26,17 +26,18 @@ func oracleConfig() oracle.Config {
 	}
 }
 
-// TestOracleCampaign is the acceptance bar: at least 500 slicer
-// verdicts cross-checked per run, none of them violating soundness,
-// completeness, differential agreement, brute-force sufficiency, or a
-// metamorphic invariant.
+// TestOracleCampaign is the acceptance bar: at least 514 slicer
+// verdicts cross-checked per run (the campaign yields 642; 514 allows
+// a 20% drop), none of them violating soundness, completeness,
+// differential agreement, brute-force sufficiency, or a metamorphic
+// invariant.
 func TestOracleCampaign(t *testing.T) {
 	stats := oracle.Run(oracleConfig())
 	for _, v := range stats.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if stats.Pairs < 500 {
-		t.Errorf("campaign produced only %d pairs, want >= 500", stats.Pairs)
+	if stats.Pairs < 514 {
+		t.Errorf("campaign produced only %d pairs, want >= 514", stats.Pairs)
 	}
 	if stats.Inconclusive > stats.Pairs/10 {
 		t.Errorf("%d of %d pairs inconclusive — oracle losing decisiveness", stats.Inconclusive, stats.Pairs)
