@@ -129,7 +129,9 @@ func main() {
 		}
 		return
 	}
-	for ti, target := range locs {
+	// sliceTarget finds a path to one target, slices it and decides the
+	// slice; the target's deadline context is released when it returns.
+	sliceTarget := func(ti int, target *cfa.Loc) {
 		var path cfa.Path
 		if *long {
 			path = cfa.WalkLongPath(prog, target, *unroll, 0)
@@ -139,7 +141,7 @@ func main() {
 		}
 		if path == nil {
 			fmt.Printf("%s: unreachable in the CFA graph\n", target)
-			continue
+			return
 		}
 		ctx := context.Background()
 		if *deadline > 0 {
@@ -148,6 +150,7 @@ func main() {
 			defer cancel()
 		}
 		var res *core.Result
+		var err error
 		if *traceFile != "" {
 			tf := *traceFile
 			if ti > 0 {
@@ -197,10 +200,13 @@ func main() {
 		fmt.Print("  ", report.SliceSummary(res))
 		if res.KnownInfeasible {
 			fmt.Printf("  verdict: INFEASIBLE (early stop after %d solver checks)\n", st.SolverChecks)
-			continue
+			return
 		}
 		fr, _ := slicer.CheckFeasibilityCtx(ctx, res.Slice)
 		printVerdict(fr, &feasible, &undecided)
+	}
+	for ti, target := range locs {
+		sliceTarget(ti, target)
 	}
 	if *solverStats {
 		fmt.Fprintln(os.Stderr, "solver counters:")

@@ -75,9 +75,9 @@ type Options struct {
 	// unsatisfiable prefix, since adding more operations cannot make it
 	// satisfiable again. The solver is genuinely incremental: each
 	// check pays only for the operations asserted since the last one
-	// (warm-started simplex, persistent interval facts — see
-	// docs/PERFORMANCE.md), so the check after every taken assume
-	// costs O(delta) rather than re-solving the whole growing prefix.
+	// (warm-started simplex, sticky Unsat — see docs/PERFORMANCE.md),
+	// so the check after every taken assume costs O(delta) rather than
+	// re-solving the whole growing prefix.
 	EarlyUnsatStop bool
 	// SkipFunctions enables the §4.2 "skipping functions" optimization:
 	// when an edge is not taken and no live lvalue can be written

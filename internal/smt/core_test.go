@@ -272,7 +272,7 @@ func FuzzUnsatCore(f *testing.F) {
 	// The stale-unsat plant's list: a > 0, b = 1, b = 2, a = 1, a = 2.
 	f.Add(staleUnsatList)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkUnsatCore(decodeCoreList(data), Limits{MaxLeaves: 200, MaxBBDepth: 12, MaxModels: 8}, false); err != nil {
+		if err := checkUnsatCore(decodeCoreList(data), Limits{MaxLeaves: 200, MaxBBDepth: 12}, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -70,7 +70,7 @@ func TestDifferentialIncrementalVsScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness is slow")
 	}
-	lim := Limits{MaxLeaves: 400, MaxBBDepth: 16, MaxModels: 8}
+	lim := Limits{MaxLeaves: 400, MaxBBDepth: 16}
 	const seqsPerSeed = 240
 	seeds := []int64{1, 2, 3, 4, 5}
 	total, decided := 0, 0

@@ -117,7 +117,7 @@ func FuzzLinearize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzDecoder{data: data}
 		formula := d.formula(3)
-		lim := Limits{MaxLeaves: 200, MaxBBDepth: 12, MaxModels: 8}
+		lim := Limits{MaxLeaves: 200, MaxBBDepth: 12}
 		r := SolveWithLimits(formula, lim)
 		// Cross-check the incremental solver: asserting the same formula
 		// into a fresh Solver must agree on every decided verdict, and

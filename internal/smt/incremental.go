@@ -22,12 +22,9 @@ import (
 //     re-pivots the existing tableau with k new rows instead of
 //     rebuilding and re-solving all n, with a from-scratch rebuild as
 //     fallback when warm re-pivoting exhausts its budget;
-//   - interval-propagation facts carry forward monotonically within a
-//     Push frame (assertions only accumulate, so bounds only tighten),
-//     seeded by the delta instead of recomputed;
 //   - Push/Pop are trail-based: Pop undoes the recorded deltas (bound
-//     changes in the tableau, interval snapshots, slice truncations)
-//     rather than discarding the solver state.
+//     changes in the tableau, slice truncations) rather than
+//     discarding the solver state.
 //
 // The engine handles pure conjunctions of (in)equalities natively —
 // the shape every trace-formula assertion has. Assertions with
@@ -68,9 +65,6 @@ type Solver struct {
 	nes     []neAtom        // deferred disequalities
 	complex []logic.Formula // assertions with boolean structure (fallback)
 
-	icp      *incICP // monotonic interval propagation state
-	icpAtoms int     // atoms already fed to icp
-
 	sx      *simplex
 	sxAtoms int  // atoms already realized as tableau rows
 	sxGen   int  // bumped on rebuild: frames from older generations drop sx on Pop
@@ -87,8 +81,6 @@ type solverFrame struct {
 	sxMark    int
 	sxAtoms   int
 	sxGen     int
-	icpAtoms  int
-	icpBounds []interval // nil when icp did not exist at Push
 }
 
 // NewSolver returns an empty incremental solver.
@@ -147,13 +139,9 @@ func (s *Solver) Push() {
 		lastUns:   s.lastUns,
 		sxAtoms:   s.sxAtoms,
 		sxGen:     s.sxGen,
-		icpAtoms:  s.icpAtoms,
 	}
 	if s.sx != nil {
 		fr.sxMark = s.sx.mark()
-	}
-	if s.icp != nil {
-		fr.icpBounds = s.icp.snapshotBounds()
 	}
 	s.frames = append(s.frames, fr)
 }
@@ -183,16 +171,6 @@ func (s *Solver) Pop() {
 		} else {
 			s.sx.popTo(fr.sxMark)
 			s.sxAtoms = fr.sxAtoms
-		}
-	}
-	if s.icp != nil {
-		if fr.icpBounds == nil {
-			s.icp = nil
-			s.icpAtoms = 0
-		} else {
-			s.icp.truncate(fr.icpAtoms)
-			s.icp.restoreBounds(fr.icpBounds)
-			s.icpAtoms = fr.icpAtoms
 		}
 	}
 	// The linearizer is kept: abstraction variables for popped nonlinear
@@ -297,16 +275,12 @@ func (s *Solver) checkFast(ctx context.Context, lim Limits) (Result, bool) {
 // solveConj decides the conjunction of the persistent linear atoms and
 // deferred disequalities, reusing all state from previous checks.
 func (s *Solver) solveConj(ctx context.Context, lim Limits) (Status, map[string]int64) {
-	// 1. Delta-seeded interval propagation (sound Unsat pre-filter).
-	if s.runICP() == StatusUnsat {
-		return StatusUnsat, nil
-	}
-	// 2. Realize tableau rows for the new atoms (with the per-atom GCD
+	// 1. Realize tableau rows for the new atoms (with the per-atom GCD
 	// integrality test the from-scratch path also applies).
 	if s.ensureRows() == StatusUnsat {
 		return StatusUnsat, nil
 	}
-	// 3. Rational feasibility, warm-started from the retained basis.
+	// 2. Rational feasibility, warm-started from the retained basis.
 	warmAttempt := s.warm
 	st := s.sx.checkCtx(ctx, warmPivotBudget)
 	if st == StatusUnknown && ctx.Err() == nil {
@@ -324,7 +298,7 @@ func (s *Solver) solveConj(ctx context.Context, lim Limits) (Status, map[string]
 	case StatusUnknown:
 		return StatusUnknown, nil
 	}
-	// 4. Integrality and lazy disequality splitting, branching by
+	// 3. Integrality and lazy disequality splitting, branching by
 	// pushing trailed bounds/rows onto the retained tableau.
 	leaves := 0
 	// The tableau was just decided feasible above; the top-level leaf
@@ -350,24 +324,6 @@ func (s *Solver) solveConj(ctx context.Context, lim Limits) (Status, map[string]
 		}
 	}
 	return StatusSat, projectModel(model)
-}
-
-// runICP feeds the new atoms into the persistent propagation state and
-// propagates from them.
-func (s *Solver) runICP() Status {
-	if s.icp == nil {
-		s.icp = newIncICP()
-	}
-	var seed []int
-	for ; s.icpAtoms < len(s.atoms); s.icpAtoms++ {
-		if i, ok := s.icp.add(s.atoms[s.icpAtoms]); ok {
-			seed = append(seed, i)
-		}
-	}
-	if len(seed) == 0 {
-		return StatusUnknown // no delta: prior fixpoint still holds
-	}
-	return s.icp.propagate(seed)
 }
 
 // ensureRows appends tableau rows for atoms not yet realized. It

@@ -14,14 +14,12 @@
 //     sorted by variable name, abstracting nonlinear subterms (x*y,
 //     x/y, x%y with non-constant operands) into fresh variables with
 //     structural sharing;
-//   - intervals.go is a sound int64 interval-propagation pre-filter
-//     that refutes most trace conjunctions before the simplex runs;
 //   - simplex.go is a Dutertre–de Moura style general simplex over
 //     those exact rationals, with values, bounds and sparse rows in
 //     slices indexed by dense variable ids, deciding conjunctions with
 //     branch-and-bound for integrality;
 //   - solve.go performs semantic case-splitting over the boolean
-//     structure with eager theory pruning, plus model validation
+//     structure with lazy disequality splitting, plus model validation
 //     against the original formula whenever abstraction was used.
 //
 // Verdicts: Unsat is always trustworthy (every abstraction used is an

@@ -256,6 +256,15 @@ func mul64(a, b int64) (int64, bool) {
 	return int64(lo), true
 }
 
+// floorDiv returns ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
 // gcd64 returns gcd(a, b) for a, b ≥ 0 (a, b not both zero).
 func gcd64(a, b int64) int64 {
 	for b != 0 {

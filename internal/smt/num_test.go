@@ -131,3 +131,9 @@ func TestNumWordPathsStayInline(t *testing.T) {
 		t.Fatalf("a result that fits must be re-inlined: %s", back)
 	}
 }
+
+func TestFloorDiv(t *testing.T) {
+	if floorDiv(7, 2) != 3 || floorDiv(-7, 2) != -4 {
+		t.Error("floorDiv")
+	}
+}

@@ -120,8 +120,8 @@ func newSimplex() *simplex {
 // leafVars are the variables of a conjunction, interned once per leaf
 // in tableau id order: each atom's slack, then the atom's names not
 // seen before, in sorted order — the ids addConstraint would hand out
-// one at a time. Interval propagation and every branch-and-bound
-// tableau share them.
+// one at a time. Every branch-and-bound tableau of the leaf shares
+// them.
 type leafVars struct {
 	index    map[string]int
 	nvars    int // slacks included
@@ -497,25 +497,12 @@ type extraBound struct {
 	lo, hi bound
 }
 
-// checkConj decides a conjunction of linear atoms over the integers.
+// checkConjCtx decides a conjunction of linear atoms over the integers.
 // On StatusSat the returned model assigns integer values to every
-// named variable of the atoms.
-func checkConj(atoms []LinAtom, maxDepth int) (Status, map[string]num) {
-	return checkConjCtx(nil, atoms, maxDepth)
-}
-
-// checkConjCtx is checkConj with cooperative cancellation: the
-// branch-and-bound tree polls ctx at every node and degrades to
-// StatusUnknown once it is cancelled, so a single deep integrality
-// search cannot outlive the caller's deadline.
+// named variable of the atoms. The branch-and-bound tree polls ctx at
+// every node and degrades to StatusUnknown once it is cancelled, so a
+// single deep integrality search cannot outlive the caller's deadline.
 func checkConjCtx(ctx context.Context, atoms []LinAtom, maxDepth int) (Status, map[string]num) {
-	lv := internLeaf(atoms)
-	// Fast sound pre-filters: interval propagation catches most
-	// contradictions from trace formulas (constant chains vs branch
-	// guards) without touching the simplex.
-	if icpCheck(atoms, lv, 0) == StatusUnsat {
-		return StatusUnsat, nil
-	}
 	// Quick GCD test for equalities: Σ cᵢxᵢ = k with gcd(cᵢ) ∤ k is
 	// integer-infeasible even when rationally feasible.
 	for _, a := range atoms {
@@ -523,7 +510,7 @@ func checkConjCtx(ctx context.Context, atoms []LinAtom, maxDepth int) (Status, m
 			return StatusUnsat, nil
 		}
 	}
-	return branchAndBound(ctx, atoms, lv, nil, maxDepth)
+	return branchAndBound(ctx, atoms, internLeaf(atoms), nil, maxDepth)
 }
 
 func branchAndBound(ctx context.Context, atoms []LinAtom, lv leafVars, extra []extraBound, depth int) (Status, map[string]num) {

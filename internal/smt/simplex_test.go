@@ -1,11 +1,28 @@
 package smt
 
 import (
+	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
 func rat(n int64) num { return numInt(n) }
+
+// mkAtom builds a LinAtom Σ cᵢxᵢ + k (≤ 0 or = 0).
+func mkAtom(kind AtomKind, k int64, terms map[string]int64) LinAtom {
+	return LinAtom{Kind: kind, Expr: mkExpr(k, terms)}
+}
+
+// mkExpr builds the normalized expression Σ cᵢxᵢ + k.
+func mkExpr(k int64, terms map[string]int64) LinExpr {
+	e := LinExpr{Const: numInt(k)}
+	for v, c := range terms {
+		e.Terms = append(e.Terms, LinTerm{Var: v, Coeff: numInt(c)})
+	}
+	e.normalize()
+	return e
+}
 
 // at is the bound n.
 func at(n int64) bound { return bound{v: numInt(n), ok: true} }
@@ -155,7 +172,7 @@ func TestQuickBranchAndBound(t *testing.T) {
 			}
 			atoms = append(atoms, LinAtom{Kind: kind, Expr: e})
 		}
-		st, model := checkConj(atoms, 30)
+		st, model := checkConjCtx(context.Background(), atoms, 30)
 		if st == StatusSat {
 			// Model must satisfy every atom exactly.
 			for ai, a := range atoms {
@@ -182,5 +199,69 @@ func TestQuickBranchAndBound(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCheckConjSatOnWitnessSystems: random systems built around a known
+// integer witness are satisfiable, so checkConjCtx must answer Sat with
+// a model that satisfies every atom. The witnesses reach ±20, beyond
+// the box TestQuickBranchAndBound brute-forces.
+func TestCheckConjSatOnWitnessSystems(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	vars := []string{"a", "b", "c"}
+	for trial := 0; trial < 400; trial++ {
+		witness := map[string]int64{}
+		for _, v := range vars {
+			witness[v] = int64(r.Intn(41) - 20)
+		}
+		var atoms []LinAtom
+		for i := 0; i < 1+r.Intn(6); i++ {
+			terms := map[string]int64{}
+			var lhs int64
+			for _, v := range vars {
+				if c := int64(r.Intn(9) - 4); c != 0 {
+					terms[v] = c
+					lhs += c * witness[v]
+				}
+			}
+			if r.Intn(3) == 0 {
+				atoms = append(atoms, mkAtom(AtomEq, -lhs, terms))
+			} else {
+				slack := int64(r.Intn(10))
+				atoms = append(atoms, mkAtom(AtomLe, -lhs-slack, terms))
+			}
+		}
+		st, model := checkConjCtx(context.Background(), atoms, 40)
+		if st != StatusSat {
+			t.Fatalf("trial %d: %s; witness %v atoms %v", trial, st, witness, atoms)
+		}
+		for ai, a := range atoms {
+			if !linAtomHolds(a, model) {
+				t.Fatalf("trial %d: model %v violates atom %d (%s)", trial, model, ai, a)
+			}
+		}
+	}
+}
+
+// TestSSAChainContradictionIsUnsat: v0 = 0, vᵢ = vᵢ₋₁ + 1 for i ≤ 50,
+// and v50 = 99 is the shape of an infeasible trace formula. Both the
+// stateless leaf check and the incremental solver must refute it.
+func TestSSAChainContradictionIsUnsat(t *testing.T) {
+	const n = 50
+	name := func(i int) string { return "v" + strconv.Itoa(i) }
+	atoms := []LinAtom{mkAtom(AtomEq, 0, map[string]int64{name(0): 1})}
+	s := NewSolver()
+	s.Assert(eq(v(name(0)), c(0)))
+	for i := 1; i <= n; i++ {
+		atoms = append(atoms, mkAtom(AtomEq, -1, map[string]int64{name(i): 1, name(i - 1): -1}))
+		s.Assert(eq(v(name(i)), add(v(name(i-1)), c(1))))
+	}
+	atoms = append(atoms, mkAtom(AtomEq, -99, map[string]int64{name(n): 1}))
+	s.Assert(eq(v(name(n)), c(99)))
+	if st, _ := checkConjCtx(context.Background(), atoms, 30); st != StatusUnsat {
+		t.Errorf("checkConjCtx: %s, want unsat", st)
+	}
+	if st := s.Check().Status; st != StatusUnsat {
+		t.Errorf("incremental Check: %s, want unsat", st)
 	}
 }

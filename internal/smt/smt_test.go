@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"math"
 	"testing"
 
 	"pathslice/internal/logic"
@@ -204,6 +205,39 @@ func TestIncrementalSolver(t *testing.T) {
 	}
 	if s.Assertions() != 1 {
 		t.Errorf("assertions: %d", s.Assertions())
+	}
+}
+
+// TestWordBoundarySystemsAreSat: constants and coefficients at the
+// int64 boundary, and bounds whose sum passes 2^56, must not make
+// either solver path refute a satisfiable system (witness in each
+// name).
+func TestWordBoundarySystemsAreSat(t *testing.T) {
+	const b = int64(1) << 55
+	x, y1, y2, y3, z := v("x"), v("y1"), v("y2"), v("y3"), v("z")
+	cases := []struct {
+		name    string
+		formula logic.Formula
+	}{
+		{"x + MinInt64 <= 0 (x = 0)", le(add(x, c(math.MinInt64)), c(0))},
+		{"MinInt64*x - 1 <= 0, x <= 0 (x = 0)",
+			logic.MkAnd(le(sub(mul(c(math.MinInt64), x), c(1)), c(0)), le(x, c(0)))},
+		{"2z <= y1+y2+y3, yi <= 2^55, z >= 2^55+1 (yi = 2^55, z = 2^55+1)",
+			logic.MkAnd(
+				le(y1, c(b)), le(y2, c(b)), le(y3, c(b)),
+				le(mul(c(2), z), add(add(y1, y2), y3)),
+				ge(z, c(b+1)),
+			)},
+	}
+	for _, tc := range cases {
+		if r := Solve(tc.formula); r.Status != StatusSat {
+			t.Errorf("%s: Solve = %s, want sat", tc.name, r.Status)
+		}
+		s := NewSolver()
+		s.Assert(tc.formula)
+		if r := s.Check(); r.Status != StatusSat {
+			t.Errorf("%s: incremental Check = %s, want sat", tc.name, r.Status)
+		}
 	}
 }
 

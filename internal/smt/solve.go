@@ -29,9 +29,6 @@ type Limits struct {
 	// MaxBBDepth bounds branch-and-bound depth for integrality.
 	// Default 40.
 	MaxBBDepth int
-	// MaxModels bounds how many abstract models are validated against
-	// the original formula before giving up with Unknown. Default 8.
-	MaxModels int
 	// Deadline, when positive, bounds the wall-clock time of a single
 	// solve: the search is cancelled at the deadline and the verdict
 	// is StatusUnknown. It composes with a caller context (whichever
@@ -45,9 +42,6 @@ func (l Limits) withDefaults() Limits {
 	}
 	if l.MaxBBDepth <= 0 {
 		l.MaxBBDepth = 40
-	}
-	if l.MaxModels <= 0 {
-		l.MaxModels = 8
 	}
 	return l
 }
@@ -243,8 +237,8 @@ func (s *searcher) leaf(atoms []LinAtom, nes []neAtom) Status {
 	}
 	st, numModel := checkConjCtx(s.ctx, atoms, s.lim.MaxBBDepth)
 	if st == StatusSat {
-		// Find a violated disequality (its lt-side expression evaluates
-		// to > 0 under the model means lt is FALSE... evaluate both).
+		// Split on the first disequality the model violates, that is,
+		// one where neither strict side holds.
 		for i, ne := range nes {
 			if linAtomHolds(ne.lt, numModel) || linAtomHolds(ne.gt, numModel) {
 				continue
@@ -277,7 +271,7 @@ func (s *searcher) leaf(atoms []LinAtom, nes []neAtom) Status {
 	}
 	model, ok := int64Model(numModel)
 	if !ok {
-		// Out-of-range model value: clamp? No — reject as unknown.
+		// A model value outside int64 cannot be reported or validated.
 		s.sawUnknown = true
 		return StatusUnknown
 	}
@@ -285,15 +279,13 @@ func (s *searcher) leaf(atoms []LinAtom, nes []neAtom) Status {
 		s.model = projectModel(model)
 		return StatusSat
 	}
-	// Abstraction was used: validate against the original formula.
+	// Abstraction was used: validate against the original formula. A
+	// model that fails cannot be Sat, and the abstraction cannot prove
+	// Unsat either.
 	s.tried++
 	if s.validate(model) {
 		s.model = projectModel(model)
 		return StatusSat
-	}
-	if s.tried >= s.lim.MaxModels {
-		s.sawUnknown = true
-		return StatusUnknown
 	}
 	s.sawUnknown = true
 	return StatusUnknown
