@@ -252,7 +252,7 @@ func runConcTrace(slicer *core.Slicer, prog *cfa.Program, file string, deadline 
 	if verbose {
 		fmt.Printf("--- trace ---\n%s--- slice ---\n%s", tr, res.Slice)
 	}
-	fr, _ := slicer.CheckConcFeasibility(res.Slice)
+	fr, _ := slicer.CheckConcFeasibility(ctx, res.Slice)
 	// The verdict speaks only for the recorded interleaving; an Unsat
 	// here does not rule out other legal reorderings.
 	printVerdict(fr, feasible, undecided)

@@ -110,6 +110,9 @@ func run() int {
 	}
 	defer func() { _ = cleanup() }()
 
+	// The admin port's /metrics serves the process-wide registry: turn
+	// it on before the server exists, so a snapshot restore counts too.
+	obs.Default().SetEnabled(true)
 	srv := service.New(service.Config{
 		MaxInflight:      *maxInflight,
 		DefaultDeadline:  *defaultDeadline,

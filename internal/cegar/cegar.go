@@ -264,12 +264,23 @@ type Checker struct {
 	// predIDs numbers predicate contents for postMemo's keys and
 	// entries. It is created and flushed together with postMemo, so an
 	// ID names the same content for as long as any entry that holds it.
-	predIDs map[string]uint64
-	// ops holds each edge's operation converted for WP, indexed by edge
-	// ID and filled on first use (compiledOp). It lives as long as the
+	predIDs map[string]uint32
+	// edges holds what the post reads of each edge, indexed by edge ID
+	// and filled on first use (compiledEdge). It lives as long as the
 	// checker, so a long-lived checker (cmd/slicerd) converts each edge
 	// once across all its checks.
-	ops []*wp.CompiledOp
+	edges []*compiledEdge
+	// varIDs numbers the variables the post's queries mention
+	// (varNum). Predicates and edges carry their variables as numbers,
+	// and pre and split index their slices by them.
+	varIDs map[string]int32
+	// pre, split and computed are scratch reused by every post: a
+	// checker runs one post at a time (cmd/slicerd serializes each
+	// checker). computed collects the values a post computed, which
+	// join its memo entry in one append.
+	pre      entailPre
+	split    querySplit
+	computed []memoVal
 	// keyBuf and scopeBuf are memoKey's scratch space.
 	keyBuf   []byte
 	scopeBuf []string
@@ -282,14 +293,17 @@ type Checker struct {
 	// Test hooks, set only through export_test.go: checkEntail and
 	// checkPrune observe every entailment and prune the post decides.
 	// The rest plant wrong rules the cross-check must catch:
-	// dropConnected leaves one connected conjunct out of an entailment
-	// cone, dropGuardLiteral one connected literal out of a prune query,
-	// and copyUndetermined copies undetermined values across assumes.
-	checkEntail      func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
-	checkPrune       func(st *absState, e *cfa.Edge, preds []predicate, pruned bool)
-	dropConnected    bool
-	dropGuardLiteral bool
-	copyUndetermined bool
+	// dropConnected leaves one connected conjunct out of each component
+	// of an entailment query, dropGuardLiteral one connected literal out
+	// of a prune query, copyUndetermined copies undetermined values
+	// across assumes, and skipLastComponent calls the last component of
+	// each entailment query Sat without deciding it.
+	checkEntail       func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
+	checkPrune        func(st *absState, e *cfa.Edge, preds []predicate, pruned bool)
+	dropConnected     bool
+	dropGuardLiteral  bool
+	copyUndetermined  bool
+	skipLastComponent bool
 }
 
 // New builds a checker for prog.
@@ -299,7 +313,8 @@ func New(prog *cfa.Program, opts Options) *Checker {
 		prog:   prog,
 		slicer: core.NewWithOptions(prog, opts.SlicerOpts),
 		opts:   opts,
-		ops:    make([]*wp.CompiledOp, prog.NumEdges()),
+		edges:  make([]*compiledEdge, prog.NumEdges()),
+		varIDs: make(map[string]int32),
 	}
 	if opts.SharedCache != nil {
 		c.cache = opts.SharedCache
@@ -377,7 +392,7 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 	// the cap below bounds its memory on pathological workloads.
 	if c.postMemo == nil || len(c.postMemo) > maxPostMemoEntries {
 		c.postMemo = make(map[string]*postMemoEntry)
-		c.predIDs = make(map[string]uint64)
+		c.predIDs = make(map[string]uint32)
 	}
 	startUncached := c.uncachedCalls
 	startCache := c.cacheStats()
@@ -602,24 +617,26 @@ func (cs *coverSet) add(st *absState) bool {
 
 // predicate is one abstraction predicate together with what the
 // abstract post reads of it, computed once when refinement adds it:
-// the ID of its content string in predIDs (memo keys outlive a check,
-// so they name predicates by content), its variables (the cone) and
-// the functions whose locals it mentions (localization).
+// its negation, the ID of its content string in predIDs (memo keys
+// outlive a check, so they name predicates by content), the numbers of
+// its variables (the precondition's union-find) and the functions
+// whose locals it mentions (localization).
 type predicate struct {
-	f     logic.Formula
-	id    uint64
-	vars  []string
-	scope []string
+	f, neg logic.Formula
+	id     uint32
+	vars   []int32
+	scope  []string
 }
 
 func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
 	id, ok := c.predIDs[key]
 	if !ok {
-		id = uint64(len(c.predIDs))
+		id = uint32(len(c.predIDs))
 		c.predIDs[key] = id
 	}
-	p := predicate{f: f, id: id, vars: logic.Vars(f)}
-	for _, v := range p.vars {
+	p := predicate{f: f, neg: logic.MkNot(f), id: id}
+	for _, v := range logic.Vars(f) {
+		p.vars = append(p.vars, c.varNum(v))
 		fn := c.prog.FuncOf(v)
 		if fn == nil || cfa.IsTransferVar(v) || slices.Contains(p.scope, fn.Name) {
 			continue
@@ -627,6 +644,51 @@ func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
 		p.scope = append(p.scope, fn.Name)
 	}
 	return p
+}
+
+// varNum returns the checker's number for variable name, numbering it
+// on first sight. Program variables and the fresh variables of WP are
+// finitely many per program (fresh names repeat across posts), so the
+// numbering stays small for the checker's lifetime.
+func (c *Checker) varNum(name string) int32 {
+	n, ok := c.varIDs[name]
+	if !ok {
+		n = int32(len(c.varIDs))
+		c.varIDs[name] = n
+	}
+	return n
+}
+
+// appendVars appends the numbers of f's variables to dst, repeats
+// included.
+func (c *Checker) appendVars(dst []int32, f logic.Formula) []int32 {
+	switch f := f.(type) {
+	case logic.Cmp:
+		return c.appendTermVars(c.appendTermVars(dst, f.X), f.Y)
+	case logic.Not:
+		return c.appendVars(dst, f.F)
+	case logic.And:
+		for _, g := range f.Fs {
+			dst = c.appendVars(dst, g)
+		}
+	case logic.Or:
+		for _, g := range f.Fs {
+			dst = c.appendVars(dst, g)
+		}
+	}
+	return dst
+}
+
+func (c *Checker) appendTermVars(dst []int32, t logic.Term) []int32 {
+	switch t := t.(type) {
+	case logic.Var:
+		return append(dst, c.varNum(t.Name))
+	case logic.Bin:
+		return c.appendTermVars(c.appendTermVars(dst, t.X), t.Y)
+	case logic.Neg:
+		return c.appendTermVars(dst, t.X)
+	}
+	return dst
 }
 
 // reach explores the abstract state space; it returns an abstract path
@@ -685,18 +747,35 @@ func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []predicate,
 	return nil, work, false
 }
 
-// postMemoEntry is one memoized abstract-post computation. vals maps a
-// predicate's content ID to its successor value, so an entry is
+// postMemoEntry is one memoized abstract-post computation. vals pairs
+// a predicate's content ID with its successor value, so an entry is
 // valid for any predicate list: a lookup reuses every predicate it has
 // seen before (under the same determined source conjuncts, captured by
 // the memo key) and computes only the rest. Content keying is what lets
 // the memo outlive a single Check — indices restart per check, but a
 // predicate's meaning does not (cmd/slicerd keeps one Checker per
-// program and reuses this memo across requests).
+// program and reuses this memo across requests). A post computes a few
+// predicates, so the pairs are a short slice searched in order.
 type postMemoEntry struct {
 	prunedKnown bool
 	pruned      bool
-	vals        map[uint64]int8
+	vals        []memoVal
+}
+
+// memoVal is one predicate's memoized successor value.
+type memoVal struct {
+	id uint32
+	v  int8
+}
+
+// value returns the memoized value of the predicate with content ID id.
+func (m *postMemoEntry) value(id uint32) (int8, bool) {
+	for _, mv := range m.vals {
+		if mv.id == id {
+			return mv.v, true
+		}
+	}
+	return 0, false
 }
 
 // freshStride separates the fresh-variable namespaces of the per-
@@ -704,8 +783,8 @@ type postMemoEntry struct {
 // regardless of which other predicates the memo already answered.
 // A single WPOp mints at most a handful of fresh variables per havoc
 // or nondet read, far below the stride. Predicate i's range starts at
-// (i+1)*freshStride; the assume, converted once per post, uses the
-// range below the first.
+// (i+1)*freshStride; the assume's conjuncts, converted once per edge,
+// use the range below the first.
 const freshStride = 4096
 
 // memoKey identifies an abstract-post computation: the edge, the
@@ -726,7 +805,7 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
 	b := binary.AppendUvarint(c.keyBuf[:0], uint64(e.ID))
 	for i, v := range st.vals {
 		if v != 0 {
-			lit := 2*preds[i].id + 2
+			lit := 2*uint64(preds[i].id) + 2
 			if v < 0 {
 				lit++
 			}
@@ -755,7 +834,7 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
 // memo, the cache or the frame rule, so budgets behave identically
 // across configurations.
 //
-// Each query is decided by two rules before the solver sees it. Both
+// Each query is decided by three rules before the solver sees it. All
 // are exact whenever the source valuation is satisfiable, which holds
 // by induction unless a solver query answered Unknown: the root is
 // true, an assignment's image of a non-empty set is non-empty, and an
@@ -773,6 +852,10 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
 //     it. The rest share no variable with the query and are jointly
 //     satisfiable, so dropping them leaves its satisfiability
 //     unchanged.
+//   - Components: what is left is decided one variable-disjoint
+//     component at a time (decide), each through the solver cache on
+//     its own. A conjunction of parts that share no variable is Unsat
+//     exactly when one part is, and the post reads only Unsat.
 func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []predicate) (*absState, int) {
 	work := 0
 	mAbstractPosts.Inc()
@@ -803,7 +886,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		if memo, ok = c.postMemo[string(key)]; ok {
 			c.memoHits++
 		} else {
-			memo = &postMemoEntry{vals: make(map[uint64]int8)}
+			memo = &postMemoEntry{}
 			c.postMemo[string(key)] = memo
 		}
 	}
@@ -813,12 +896,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 	var pre *entailPre
 	precondition := func() *entailPre {
 		if pre == nil {
-			var assume logic.Formula
-			if e.Op.Kind == cfa.OpAssume {
-				fresh := 0
-				assume = c.compiledOp(e).WP(logic.True, &fresh)
-			}
-			pre = newEntailPre(preds, st.vals, assume)
+			pre = c.newEntailPre(preds, st.vals, e)
 		}
 		return pre
 	}
@@ -827,13 +905,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		// Prune when the state cannot take the branch.
 		work++
 		if memo == nil || !memo.prunedKnown {
-			full := precondition()
-			guard := full.guardCone()
-			if c.dropGuardLiteral && len(guard) > len(full.fs)-full.lits {
-				guard = guard[1:]
-			}
-			mConeDropped.Add(int64(len(full.fs) - len(guard)))
-			pruned := c.solve(ctx, logic.MkAnd(guard...)).Status == smt.StatusUnsat
+			pruned := c.prune(ctx, precondition())
 			if c.checkPrune != nil {
 				c.checkPrune(st, e, preds, pruned)
 			}
@@ -874,172 +946,383 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			mFrameSkips.Inc()
 			return st.vals[i]
 		}
-		op := c.compiledOp(e)
+		op := c.compiledEdge(e).op
 		fresh := (i + 1) * freshStride
-		p := preds[i].f
-		wpP := op.WP(p, &fresh)
-		if st.vals[i] != 0 && logic.Equal(wpP, p) {
+		p := &preds[i]
+		wpP := op.WP(p.f, &fresh)
+		if st.vals[i] != 0 && logic.Equal(wpP, p.f) {
 			mFrameSkips.Inc()
 			return st.vals[i]
 		}
-		wpNotP := op.WP(logic.MkNot(p), &fresh)
-		// wp(¬p) differs from wp(p) only in fresh variables, which no
-		// precondition conjunct mentions, so one cone serves both.
-		full := precondition()
-		cone := full.cone(logic.Vars(wpP))
-		if c.dropConnected && len(cone) > 0 {
-			cone = cone[1:]
-		}
-		mConeDropped.Add(int64(len(full.fs) - len(cone)))
-		coneF := logic.MkAnd(cone...)
+		wpNotP := op.WP(p.neg, &fresh)
 		switch {
-		case c.solve(ctx, logic.MkAnd(coneF, wpNotP)).Status == smt.StatusUnsat:
+		case c.decide(ctx, precondition(), wpNotP, true) == smt.StatusUnsat:
 			return 1 // every post-state satisfies p
-		case c.solve(ctx, logic.MkAnd(coneF, wpP)).Status == smt.StatusUnsat:
+		case c.decide(ctx, precondition(), wpP, false) == smt.StatusUnsat:
 			return -1
 		}
 		return 0
 	}
 	vals := make([]int8, len(preds))
-	computed := 0
-	for i, p := range preds {
+	computed := c.computed[:0]
+	for i := range preds {
+		p := &preds[i]
 		if !c.opts.NoLocalize && !predInScope(p, e.Dst, st.stack) {
 			continue // unknown
 		}
 		work += 2
 		if memo != nil {
-			if v, ok := memo.vals[p.id]; ok {
+			if v, ok := memo.value(p.id); ok {
 				vals[i] = v
 				continue // memoized
 			}
 		}
 		vals[i] = entail(i)
-		computed++
+		computed = append(computed, memoVal{p.id, vals[i]})
 		if c.checkEntail != nil {
 			c.checkEntail(st, e, preds, i, vals[i])
 		}
-		if memo != nil {
-			memo.vals[p.id] = vals[i]
-		}
 	}
-	mPostEntailsMax.SetMax(int64(computed))
+	if memo != nil && len(computed) > 0 {
+		memo.vals = append(memo.vals, computed...)
+	}
+	c.computed = computed
+	mPostEntailsMax.SetMax(int64(len(computed)))
 	succ := &absState{loc: e.Dst, vals: vals, parent: st, via: e,
 		stack: st.stack}
 	return succ, work
 }
 
+// undecided marks a precondition component whose status this post has
+// not needed yet.
+const undecided smt.Status = -1
+
+// unionFind is a union-find over variable numbers whose slices its
+// owner reuses: a number is a node of the current forest when its mark
+// equals epoch, so starting a new forest costs one increment.
+type unionFind struct {
+	up    []int32
+	mark  []uint32
+	epoch uint32
+}
+
+func (u *unionFind) reset() {
+	u.epoch++
+	if u.epoch == 0 { // wrapped: old marks could match again
+		clear(u.mark)
+		u.epoch = 1
+	}
+}
+
+func (u *unionFind) has(v int32) bool {
+	return v >= 0 && int(v) < len(u.mark) && u.mark[v] == u.epoch
+}
+
+// add makes v a node of the current forest and reports whether it was
+// not one yet.
+func (u *unionFind) add(v int32) bool {
+	for int(v) >= len(u.up) {
+		u.up = append(u.up, 0)
+		u.mark = append(u.mark, 0)
+	}
+	if u.mark[v] == u.epoch {
+		return false
+	}
+	u.mark[v], u.up[v] = u.epoch, v
+	return true
+}
+
+func (u *unionFind) find(v int32) int32 {
+	for u.up[v] != v {
+		u.up[v] = u.up[u.up[v]]
+		v = u.up[v]
+	}
+	return v
+}
+
+func (u *unionFind) union(a, b int32) {
+	if ra, rb := u.find(a), u.find(b); ra != rb {
+		u.up[rb] = ra
+	}
+}
+
 // entailPre is the precondition of one post's queries as a conjunct
 // list: the source's lits determined literals, then on an assume edge
 // the assume's conjuncts. comp[j] is conjunct j's variable-connected
-// component (a union-find root over up), -1 when it has no variables.
+// component, named by its union-find root, or -1 when it has no
+// variables; status holds each root's component status once this post
+// has decided it (preStatus). The checker owns one entailPre and
+// rebuilds it for each post.
 type entailPre struct {
-	fs   []logic.Formula
-	lits int
-	comp []int
-	node map[string]int // variable → union-find node
-	up   []int
+	unionFind
+	fs     []logic.Formula
+	lits   int
+	comp   []int32
+	status []smt.Status
+	buf    []logic.Formula // preStatus's conjuncts
 }
 
-func newEntailPre(preds []predicate, vals []int8, assume logic.Formula) *entailPre {
-	pre := &entailPre{node: make(map[string]int)}
-	var vars [][]string
+// newEntailPre rebuilds c.pre from the source's determined literals
+// and, on an assume edge, the assume's conjuncts.
+func (c *Checker) newEntailPre(preds []predicate, vals []int8, e *cfa.Edge) *entailPre {
+	pre := &c.pre
+	pre.reset()
+	pre.fs, pre.comp = pre.fs[:0], pre.comp[:0]
 	for i, v := range vals {
 		switch v {
 		case 1:
-			pre.fs = append(pre.fs, preds[i].f)
+			pre.add(preds[i].f, preds[i].vars)
 		case -1:
-			pre.fs = append(pre.fs, logic.MkNot(preds[i].f))
-		default:
-			continue
+			pre.add(preds[i].neg, preds[i].vars)
 		}
-		vars = append(vars, preds[i].vars)
 	}
 	pre.lits = len(pre.fs)
-	if assume != nil {
-		conj := []logic.Formula{assume}
-		if a, ok := assume.(logic.And); ok {
-			conj = a.Fs
-		}
-		for _, f := range conj {
-			pre.fs = append(pre.fs, f)
-			vars = append(vars, logic.Vars(f))
+	if e.Op.Kind == cfa.OpAssume {
+		ce := c.compiledEdge(e)
+		for k, f := range ce.guard {
+			pre.add(f, ce.guardVars[k])
 		}
 	}
-	pre.comp = make([]int, len(pre.fs))
-	for j, vs := range vars {
-		pre.comp[j] = -1
-		for _, v := range vs {
-			n, ok := pre.node[v]
-			if !ok {
-				n = len(pre.up)
-				pre.node[v] = n
-				pre.up = append(pre.up, n)
-			}
-			if pre.comp[j] < 0 {
-				pre.comp[j] = n
-			} else {
-				pre.up[pre.find(n)] = pre.find(pre.comp[j])
-			}
-		}
-	}
-	for j, n := range pre.comp {
-		if n >= 0 {
-			pre.comp[j] = pre.find(n)
+	for j, r := range pre.comp {
+		if r >= 0 {
+			pre.comp[j] = pre.find(r)
 		}
 	}
 	return pre
 }
 
-func (pre *entailPre) find(n int) int {
-	for pre.up[n] != n {
-		pre.up[n] = pre.up[pre.up[n]]
-		n = pre.up[n]
-	}
-	return n
-}
-
-// cone returns the conjuncts variable-connected to any of vars, in
-// precondition order.
-func (pre *entailPre) cone(vars []string) []logic.Formula {
-	in := make([]bool, len(pre.up))
+// add appends conjunct f, whose variables are vars, joining their
+// components.
+func (pre *entailPre) add(f logic.Formula, vars []int32) {
+	r := int32(-1)
 	for _, v := range vars {
-		if n, ok := pre.node[v]; ok {
-			in[pre.find(n)] = true
+		if pre.unionFind.add(v) {
+			for int(v) >= len(pre.status) {
+				pre.status = append(pre.status, undecided)
+			}
+			pre.status[v] = undecided
+		}
+		if r < 0 {
+			r = v
+		} else {
+			pre.union(r, v)
 		}
 	}
-	return pre.connected(in, len(pre.fs))
+	pre.fs = append(pre.fs, f)
+	pre.comp = append(pre.comp, r)
 }
 
-// guardCone returns an assume's prune query: all of the assume's
-// conjuncts, variable-free ones included, and the determined literals
-// variable-connected to them, in precondition order.
-func (pre *entailPre) guardCone() []logic.Formula {
-	in := make([]bool, len(pre.up))
-	for _, n := range pre.comp[pre.lits:] {
-		if n >= 0 {
-			in[n] = true
+// repeats returns the component of the assume conjunct that equals w,
+// if one with variables does. On an assume edge wp(±p) repeats the
+// assume's conjuncts, and A ∧ A is A.
+func (pre *entailPre) repeats(w logic.Formula) (int32, bool) {
+	for j := pre.lits; j < len(pre.fs); j++ {
+		if pre.comp[j] >= 0 && logic.Equal(w, pre.fs[j]) {
+			return pre.comp[j], true
 		}
 	}
-	return pre.connected(in, pre.lits)
+	return 0, false
 }
 
-// connected returns the conjuncts in a component marked in, and every
-// conjunct from index from on, in precondition order.
-func (pre *entailPre) connected(in []bool, from int) []logic.Formula {
-	var out []logic.Formula
+// preStatus returns the status of the precondition component rooted
+// at r, deciding it the first time this post asks.
+func (c *Checker) preStatus(ctx context.Context, pre *entailPre, r int32) smt.Status {
+	if st := pre.status[r]; st != undecided {
+		return st
+	}
+	fs := pre.buf[:0]
 	for j, f := range pre.fs {
-		if n := pre.comp[j]; j >= from || n >= 0 && in[n] {
-			out = append(out, f)
+		if pre.comp[j] != r {
+			continue
+		}
+		if c.dropGuardLiteral && j < pre.lits && len(fs) == 0 {
+			continue // the plant: leave out one connected literal
+		}
+		fs = append(fs, f)
+	}
+	pre.buf = fs
+	st := c.solve(ctx, conjunction(fs))
+	pre.status[r] = st.Status
+	return st.Status
+}
+
+// prune reports whether an assume's prune query is Unsat: the assume's
+// conjuncts and the determined literals variable-connected to them,
+// decided one component at a time. A variable-free conjunct is a
+// component of its own.
+func (c *Checker) prune(ctx context.Context, pre *entailPre) bool {
+	q := &c.split
+	q.reset()
+	for _, r := range pre.comp[pre.lits:] {
+		if r >= 0 {
+			q.add(r)
 		}
 	}
-	return out
+	left := 0
+	for _, r := range pre.comp[:pre.lits] {
+		if !q.has(r) {
+			left++
+		}
+	}
+	mConeDropped.Add(int64(left))
+	for j := pre.lits; j < len(pre.fs); j++ {
+		var st smt.Status
+		if r := pre.comp[j]; r >= 0 {
+			st = c.preStatus(ctx, pre, r)
+		} else {
+			st = c.solve(ctx, pre.fs[j]).Status
+		}
+		if st == smt.StatusUnsat {
+			return true
+		}
+	}
+	return false
+}
+
+// querySplit is the scratch of one query's split into components: a
+// union-find whose nodes are precondition components (by root) and
+// the variables outside the precondition, and the query's WP
+// conjuncts with their nodes. The checker owns one and reuses it.
+type querySplit struct {
+	unionFind
+	one   [1]logic.Formula
+	ws    []logic.Formula // WP conjuncts the precondition does not repeat
+	roots []int32         // each one's component, -1 when variable-free
+	dups  []int32         // components of the conjuncts it repeats
+	vars  []int32
+	fs    []logic.Formula // one component's conjuncts
+}
+
+// decide decides the conjunction of wpF with the precondition
+// conjuncts variable-connected to it, one variable-disjoint component
+// at a time: the query is Unsat when one component is, Sat when all
+// are, and Unknown otherwise. Each component goes through the solver
+// cache on its own, so a predicate's half of the query hits the cache
+// whatever the guard beside it. A component made only of precondition
+// conjuncts (on an assume edge, the assume's, which wp(±p) repeats) is
+// read from the precondition's statuses, decided at most once per
+// post. countCone adds the conjuncts the cone left out to
+// cegar_post_cone_dropped_total.
+func (c *Checker) decide(ctx context.Context, pre *entailPre, wpF logic.Formula, countCone bool) smt.Status {
+	q := &c.split
+	q.reset()
+	q.ws, q.roots, q.dups = q.ws[:0], q.roots[:0], q.dups[:0]
+	conj := q.one[:]
+	conj[0] = wpF
+	if a, ok := wpF.(logic.And); ok {
+		conj = a.Fs
+	}
+	for _, w := range conj {
+		if r, ok := pre.repeats(w); ok {
+			q.add(r)
+			q.dups = append(q.dups, r)
+			continue
+		}
+		root := int32(-1)
+		q.vars = c.appendVars(q.vars[:0], w)
+		for _, v := range q.vars {
+			n := v
+			if pre.has(v) {
+				n = pre.find(v)
+			}
+			q.add(n)
+			if root < 0 {
+				root = n
+			} else {
+				q.union(root, n)
+			}
+		}
+		q.ws = append(q.ws, w)
+		q.roots = append(q.roots, root)
+	}
+	for k, r := range q.roots {
+		if r >= 0 {
+			q.roots[k] = q.find(r)
+		}
+	}
+	if countCone {
+		left := len(pre.fs)
+		for _, r := range pre.comp {
+			if q.has(r) {
+				left--
+			}
+		}
+		mConeDropped.Add(int64(left))
+	}
+
+	unknown := false
+	for _, r := range q.dups {
+		if slices.Contains(q.roots, q.find(r)) {
+			continue // a WP conjunct joins this component
+		}
+		switch c.preStatus(ctx, pre, r) {
+		case smt.StatusUnsat:
+			return smt.StatusUnsat
+		case smt.StatusUnknown:
+			unknown = true
+		}
+	}
+	last := -1
+	for k, r := range q.roots {
+		if r < 0 || slices.Index(q.roots, r) == k {
+			last = k
+		}
+	}
+	for k, r := range q.roots {
+		if r >= 0 && slices.Index(q.roots, r) < k {
+			continue // decided with the component's first conjunct
+		}
+		if c.skipLastComponent && k == last {
+			continue // the plant: called Sat without deciding it
+		}
+		fs := q.fs[:0]
+		if r < 0 {
+			fs = append(fs, q.ws[k])
+		} else {
+			for j, f := range pre.fs {
+				if cr := pre.comp[j]; q.has(cr) && q.find(cr) == r {
+					fs = append(fs, f)
+				}
+			}
+			if c.dropConnected && len(fs) > 0 {
+				fs = fs[1:] // the plant: leave out one connected conjunct
+			}
+			for k2 := k; k2 < len(q.ws); k2++ {
+				if q.roots[k2] == r {
+					fs = append(fs, q.ws[k2])
+				}
+			}
+		}
+		q.fs = fs
+		switch c.solve(ctx, conjunction(fs)).Status {
+		case smt.StatusUnsat:
+			return smt.StatusUnsat
+		case smt.StatusUnknown:
+			unknown = true
+		}
+	}
+	if unknown {
+		return smt.StatusUnknown
+	}
+	return smt.StatusSat
+}
+
+// conjunction is the conjunction of the non-empty fs without copying
+// them (they are flat: WP results and precondition conjuncts are
+// built with logic.MkAnd). The caller's scratch backs it, which is
+// safe because a solve keeps nothing of its formula.
+func conjunction(fs []logic.Formula) logic.Formula {
+	if len(fs) == 1 {
+		return fs[0]
+	}
+	return logic.And{Fs: fs}
 }
 
 // predInScope reports whether predicate p may be evaluated at a state
 // whose location is loc with the given stack: every function whose
 // locals the predicate mentions must be the current function or on the
 // stack. Global-only predicates are always in scope.
-func predInScope(p predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
+func predInScope(p *predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
 	for _, name := range p.scope {
 		if loc.Fn.Name == name {
 			continue
@@ -1058,16 +1341,37 @@ func predInScope(p predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
 	return true
 }
 
-// compiledOp returns e's operation converted for WP. A slot is filled
-// only once its conversion returned, so a conversion that panics is
+// compiledEdge is what the post reads of an edge, built once per
+// checker: its operation converted for WP and, on an assume, the
+// assume's conjuncts (its WP of true, at fresh base 0) with the
+// numbers of their variables.
+type compiledEdge struct {
+	op        *wp.CompiledOp
+	guard     []logic.Formula
+	guardVars [][]int32
+}
+
+// compiledEdge returns what the post reads of e. A slot is filled only
+// once its conversion returned, so a conversion that panics is
 // retried, and contained, wherever the next post needs it.
-func (c *Checker) compiledOp(e *cfa.Edge) *wp.CompiledOp {
-	op := c.ops[e.ID]
-	if op == nil {
-		op = wp.CompileOp(e.Op, c.slicer.Alias, c.slicer.Addrs)
-		c.ops[e.ID] = op
+func (c *Checker) compiledEdge(e *cfa.Edge) *compiledEdge {
+	ce := c.edges[e.ID]
+	if ce == nil {
+		ce = &compiledEdge{op: wp.CompileOp(e.Op, c.slicer.Alias, c.slicer.Addrs)}
+		if e.Op.Kind == cfa.OpAssume {
+			fresh := 0
+			guard := ce.op.WP(logic.True, &fresh)
+			ce.guard = []logic.Formula{guard}
+			if a, ok := guard.(logic.And); ok {
+				ce.guard = a.Fs
+			}
+			for _, f := range ce.guard {
+				ce.guardVars = append(ce.guardVars, c.appendVars(nil, f))
+			}
+		}
+		c.edges[e.ID] = ce
 	}
-	return op
+	return ce
 }
 
 // extractPath walks parent pointers back to the root.

@@ -108,9 +108,9 @@ func TestFrameRuleAndConeMatchFullQuery(t *testing.T) {
 
 // TestOverEagerConeIsCaught: each planted rule is wrong, and the
 // cross-check must see it — a cone that leaves out one connected
-// conjunct and copying undetermined values across assumes in the
-// entailments, a prune query that leaves out one connected literal in
-// the prunes.
+// conjunct, copying undetermined values across assumes and a component
+// called Sat without a solve in the entailments, a prune query that
+// leaves out one connected literal in the prunes.
 func TestOverEagerConeIsCaught(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -120,6 +120,7 @@ func TestOverEagerConeIsCaught(t *testing.T) {
 		{"over-eager cone", cegar.PlantOverEagerCone, func(t cegar.EntailTally) int { return t.Disagreed }},
 		{"undetermined values copied across assumes", cegar.PlantCopyUndetermined, func(t cegar.EntailTally) int { return t.Disagreed }},
 		{"over-eager prune cone", cegar.PlantOverEagerGuardCone, func(t cegar.EntailTally) int { return t.PrunesDisagreed }},
+		{"undecided last component", cegar.PlantSkipLastComponent, func(t cegar.EntailTally) int { return t.Disagreed }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, np := range entailmentPrograms(t) {

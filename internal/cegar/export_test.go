@@ -37,8 +37,8 @@ func CrossCheckEntailments(c *Checker, t *EntailTally) {
 	}
 }
 
-// PlantOverEagerCone makes c's cone leave out one connected conjunct
-// of every non-empty cone.
+// PlantOverEagerCone makes c leave out one connected precondition
+// conjunct of every entailment component that has one.
 func PlantOverEagerCone(c *Checker) { c.dropConnected = true }
 
 // PlantOverEagerGuardCone makes c's prune queries leave out one
@@ -48,6 +48,10 @@ func PlantOverEagerGuardCone(c *Checker) { c.dropGuardLiteral = true }
 // PlantCopyUndetermined makes c copy undetermined values across
 // assumes too, not only determined ones.
 func PlantCopyUndetermined(c *Checker) { c.copyUndetermined = true }
+
+// PlantSkipLastComponent makes c call the last component of each
+// entailment query Sat without deciding it.
+func PlantSkipLastComponent(c *Checker) { c.skipLastComponent = true }
 
 // literals returns the source's determined literals.
 func literals(st *absState, preds []predicate) []logic.Formula {

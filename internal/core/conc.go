@@ -562,16 +562,17 @@ func (w *concWalker) countTaken(k cfa.OpKind) {
 }
 
 // CheckConcFeasibility asks the decision procedure about a concurrent
-// trace's recorded linearization. Threads share all memory, so the
-// trace's constraint formula is the sequential encoding of its
-// total-order operation sequence (spawn and join encode as true). Note
-// the verdict speaks only for this interleaving: an Unsat recorded
-// order says nothing about other legal reorderings, which is exactly
-// why the concurrent walk never early-stops.
-func (s *Slicer) CheckConcFeasibility(tr cfa.ConcTrace) (smt.Result, *wp.TraceEncoder) {
+// trace's recorded linearization, under ctx: like CheckFeasibilityCtx,
+// a cancelled or expired context answers StatusUnknown. Threads share
+// all memory, so the trace's constraint formula is the sequential
+// encoding of its total-order operation sequence (spawn and join encode
+// as true). Note the verdict speaks only for this interleaving: an
+// Unsat recorded order says nothing about other legal reorderings,
+// which is exactly why the concurrent walk never early-stops.
+func (s *Slicer) CheckConcFeasibility(ctx context.Context, tr cfa.ConcTrace) (smt.Result, *wp.TraceEncoder) {
 	sp := obs.StartSpan(obs.PhaseFeasibility)
 	defer sp.End()
 	enc := wp.NewTraceEncoder(s.Prog, s.Alias, s.Addrs)
 	f := enc.EncodeTrace(tr.Ops())
-	return smt.SolveCtx(context.Background(), f, s.Opts.SolverLimits), enc
+	return smt.SolveCtx(ctx, f, s.Opts.SolverLimits), enc
 }

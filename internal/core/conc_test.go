@@ -1,16 +1,20 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
 	"pathslice/internal/core"
+	"pathslice/internal/faults"
 	"pathslice/internal/interp"
+	"pathslice/internal/smt"
 	"pathslice/internal/wp"
 )
 
@@ -105,6 +109,34 @@ func takenWriteOf(res *core.ConcResult, tr cfa.ConcTrace, lhs string) bool {
 		}
 	}
 	return false
+}
+
+// TestConcFeasibilityHonorsDeadline: every solver call stalls for 30s
+// and the caller's context expires after 150ms. The concurrent
+// feasibility check must come back within the deadline plus scheduling
+// slack, undecided.
+func TestConcFeasibilityHonorsDeadline(t *testing.T) {
+	prog := compile.MustSource(concWriterJoined)
+	tr := concErrorTrace(t, prog, 50)
+	sl := core.New(prog)
+	prev := faults.Install(faults.New(faults.Config{
+		Seed:  7,
+		Rates: map[faults.Kind]float64{faults.SolverStall: 1},
+		Stall: 30 * time.Second,
+	}))
+	defer faults.Install(prev)
+
+	const deadline = 150 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	r, _ := sl.CheckConcFeasibility(ctx, tr)
+	if elapsed := time.Since(start); elapsed > deadline+3*time.Second {
+		t.Fatalf("hung-solver feasibility check took %v, want <= deadline (%v) + slack", elapsed, deadline)
+	}
+	if r.Status != smt.StatusUnknown {
+		t.Fatalf("every solver call stalled past the deadline yet the check answered %v", r.Status)
+	}
 }
 
 // TestConcCrossThreadDemandKept: the worker's writes feed main's

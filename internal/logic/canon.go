@@ -32,6 +32,7 @@ func Key(f Formula) string {
 	}
 	c := canonizer{names: make(map[string]string)}
 	var b strings.Builder
+	b.Grow(64) // one allocation up to 64 bytes, not a doubling series from 8
 	c.formula(&b, f)
 	k := b.String()
 	if m != nil {

@@ -3,6 +3,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"pathslice/internal/cfa"
@@ -87,8 +88,8 @@ func CheckConcTrace(prog *cfa.Program, tr cfa.ConcTrace, sopts core.Options, cop
 
 	// Feasibility of the slice and the full trace under the recorded
 	// interleaving, through the stateless reference encoder.
-	rs, encS := ref.CheckConcFeasibility(res.Slice)
-	rf, encF := ref.CheckConcFeasibility(tr)
+	rs, encS := ref.CheckConcFeasibility(context.Background(), res.Slice)
+	rf, encF := ref.CheckConcFeasibility(context.Background(), tr)
 	rep.SliceStatus, rep.FullStatus = rs.Status, rf.Status
 
 	// Soundness: slice infeasible ⇒ original infeasible. A Sat full
@@ -287,7 +288,7 @@ func CheckConcCommute(prog *cfa.Program, tr cfa.ConcTrace, sopts core.Options) (
 		rep.violate("slicer-error", "ConcSlice failed on the base trace: %v", err)
 		return rep, 0
 	}
-	rbase, _ := ref.CheckConcFeasibility(base.Slice)
+	rbase, _ := ref.CheckConcFeasibility(context.Background(), base.Slice)
 
 	pairs := CommutablePairs(ref, tr)
 	const maxSwaps = 6
@@ -334,7 +335,7 @@ func CheckConcCommute(prog *cfa.Program, tr cfa.ConcTrace, sopts core.Options) (
 				"commuting independent events %d,%d changed the racy-edge count (%d → %d)",
 				i, i+1, base.Stats.RacyEdges, res.Stats.RacyEdges)
 		}
-		rswap, _ := ref.CheckConcFeasibility(res.Slice)
+		rswap, _ := ref.CheckConcFeasibility(context.Background(), res.Slice)
 		if rbase.Status != smt.StatusUnknown && rswap.Status != smt.StatusUnknown &&
 			rbase.Status != rswap.Status {
 			rep.violate("metamorphic", "commuting independent events %d,%d changed the verdict (%v → %v)",

@@ -470,7 +470,7 @@ func (s *Server) sliceConcTrace(ctx context.Context, req *SliceRequest, ps *prog
 			t.Slice = append(t.Slice, fmt.Sprintf("t%d %s", ev.TID, ev.Edge))
 		}
 	}
-	fr, _ := sl.CheckConcFeasibility(res.Slice)
+	fr, _ := sl.CheckConcFeasibility(ctx, res.Slice)
 	switch fr.Status {
 	case smt.StatusSat:
 		t.Feasibility = "feasible"

@@ -188,11 +188,11 @@ type Server struct {
 // background interner GC loop. With cfg.SnapshotPath set it restores
 // warm state from the snapshot file (restore failures only cost
 // misses) and, with cfg.SnapshotInterval > 0, starts the periodic
-// snapshot-save loop. The obs default registry is enabled so the
-// slicerd_* metrics accumulate.
+// snapshot-save loop. New leaves the obs default registry as it finds
+// it: the slicerd_* metrics accumulate only while the caller has it
+// enabled (cmd/slicerd enables it before building the server).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	obs.Default().SetEnabled(true)
 	s := &Server{
 		cfg:   cfg,
 		cache: smt.NewCache(cfg.SolverCacheSize),

@@ -21,6 +21,7 @@ import (
 	"pathslice/internal/core"
 	"pathslice/internal/faults"
 	"pathslice/internal/interp"
+	"pathslice/internal/obs"
 	"pathslice/internal/smt"
 	"pathslice/internal/wp"
 )
@@ -75,6 +76,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
+}
+
+// TestNewLeavesRegistryAlone: building a Server must not switch the
+// process-wide metrics registry, or every later metric update in the
+// test binary would count, whichever package it is in.
+func TestNewLeavesRegistryAlone(t *testing.T) {
+	reg := obs.Default()
+	defer reg.SetEnabled(reg.Enabled())
+	for _, on := range []bool{false, true} {
+		reg.SetEnabled(on)
+		New(Config{}).Close()
+		if got := reg.Enabled(); got != on {
+			t.Errorf("registry enabled %v before New, %v after", on, got)
+		}
+	}
 }
 
 func post[T any](t *testing.T, url string, body any) (int, T) {
