@@ -4,16 +4,17 @@
 # among them), the race detector over the packages that share state
 # across goroutines (the solver cache shared by parallel CEGAR checks
 # and slicerd sessions, the dataflow query caches behind a shared
-# Slicer, and the obs metrics/trace layer), the fuzz smoke, the oracle,
-# the docs checker, the daemon smokes and a short farm burst.
+# Slicer, and the obs metrics/trace layer), the benchmark module's vet
+# and short tests, the fuzz smoke, the oracle, the docs checker, the
+# daemon smokes and a short farm burst.
 
 GO ?= go
 
 RACE_PKGS = ./internal/cegar/ ./internal/cfa/ ./internal/client/ ./internal/core/ ./internal/dataflow/ ./internal/faults/ ./internal/interp/ ./internal/logic/ ./internal/obs/ ./internal/oracle/ ./internal/service/ ./internal/smt/
 
-.PHONY: check build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke bench farm experiments
+.PHONY: check build vet fmt test race perfbench fuzz oracle docs-check serve-smoke chaos-smoke bench farm experiments
 
-check: build vet fmt test race fuzz oracle docs-check serve-smoke chaos-smoke farm
+check: build vet fmt test race perfbench fuzz oracle docs-check serve-smoke chaos-smoke farm
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# perfbench (BENCHMARK.json's benchmark) is its own module, so the root
+# build and test steps skip it: vet and test it here, so a change to an
+# identifier it uses fails before the benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Short native-fuzzing smoke over the byte-input boundaries (the MiniC
 # parser — sequential and threaded grammars — the smt linearizer, the

@@ -1,16 +1,14 @@
 // Command slicerd is the resident slice/verify daemon: a JSON HTTP
 // service that runs many slice and CEGAR-check sessions concurrently
 // over shared long-lived state — the compiled-program LRU, per-program
-// frame summaries and abstract-post memos, one shared solver-verdict
-// cache, and the epoch-collected hash-cons interner (docs/API.md,
-// docs/DEPLOYMENT.md).
+// frame summaries and abstract-post memos, and one shared
+// solver-verdict cache (docs/API.md, docs/DEPLOYMENT.md).
 //
 // Usage:
 //
 //	slicerd [-addr a] [-admin-addr a] [-max-inflight n]
 //	        [-default-deadline d] [-max-deadline d] [-max-programs n]
-//	        [-cache-size n] [-intern-keep n]
-//	        [-gc-every d] [-max-source-bytes n] [-max-body-bytes n]
+//	        [-cache-size n] [-max-source-bytes n] [-max-body-bytes n]
 //	        [-drain-timeout d] [-snapshot-path f] [-snapshot-every d]
 //	        [-tls-cert f -tls-key f] [-auth-token t]
 //	        [-fault-* ...] [-trace-out f]
@@ -75,8 +73,6 @@ func run() int {
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "upper clamp on requested deadlines")
 	maxPrograms := flag.Int("max-programs", 64, "program-state LRU capacity (compiled CFAs, summaries, checker memos)")
 	cacheSize := flag.Int("cache-size", 0, "shared solver verdict cache capacity (0 = default)")
-	internKeep := flag.Int("intern-keep", 4, "interner GC retention window in epochs")
-	gcEvery := flag.Duration("gc-every", time.Minute, "interner GC epoch cadence (0 disables the loop)")
 	maxSourceBytes := flag.Int64("max-source-bytes", 1<<20, "maximum uploaded program size in bytes")
 	maxBodyBytes := flag.Int64("max-body-bytes", 16<<20, "maximum request body size in bytes (traces included)")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace event log to this file (\"-\" for stderr)")
@@ -121,8 +117,6 @@ func run() int {
 		MaxBodyBytes:     *maxBodyBytes,
 		MaxPrograms:      *maxPrograms,
 		SolverCacheSize:  *cacheSize,
-		InternKeepEpochs: *internKeep,
-		GCInterval:       *gcEvery,
 		SnapshotPath:     *snapshotPath,
 		SnapshotInterval: *snapshotEvery,
 		AuthToken:        *authToken,

@@ -17,28 +17,12 @@ import (
 // variables are all implicitly existential. Program variables (and
 // their "@k" SSA versions) are never renamed, so keys stay readable and
 // distinct program facts stay distinct.
-// Interned formulas (see Intern) cache their Key on the shared
-// hash-consing record, so repeated cache lookups of the same node skip
-// re-serialization. Caching is root-only: a subformula's canonical
-// renaming depends on the first-occurrence order of fresh variables in
-// the enclosing formula, so only the key computed for a node *as a
-// root* is context-free.
 func Key(f Formula) string {
-	m := formulaMeta(f)
-	if m != nil {
-		if p := m.key.Load(); p != nil {
-			return *p
-		}
-	}
 	c := canonizer{names: make(map[string]string)}
 	var b strings.Builder
 	b.Grow(64) // one allocation up to 64 bytes, not a doubling series from 8
 	c.formula(&b, f)
-	k := b.String()
-	if m != nil {
-		m.key.Store(&k)
-	}
-	return k
+	return b.String()
 }
 
 type canonizer struct {

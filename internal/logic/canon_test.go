@@ -60,3 +60,24 @@ func TestKeyDistinguishesStructure(t *testing.T) {
 		t.Errorf("constants: got %q / %q", Key(True), Key(False))
 	}
 }
+
+func TestKeyRootContext(t *testing.T) {
+	f := MkAnd(
+		Cmp{Op: CmpEq, X: Var{Name: "$in0"}, Y: Var{Name: "x"}},
+		Cmp{Op: CmpLt, X: Var{Name: "$in1"}, Y: Const{V: 4}},
+	)
+	// The canonical renaming quotients out fresh-counter offsets.
+	g := MkAnd(
+		Cmp{Op: CmpEq, X: Var{Name: "$in7"}, Y: Var{Name: "x"}},
+		Cmp{Op: CmpLt, X: Var{Name: "$in9"}, Y: Const{V: 4}},
+	)
+	if Key(f) != Key(g) {
+		t.Fatalf("keys must be renaming-invariant: %q vs %q", Key(f), Key(g))
+	}
+	// A subformula key must be computed in its own root context, not
+	// inherited from the enclosing formula's renaming.
+	sub := f.(And).Fs[1]
+	if want := Key(Cmp{Op: CmpLt, X: Var{Name: "$k0"}, Y: Const{V: 4}}); Key(sub) != want {
+		t.Fatalf("subformula key %q, want root-context %q", Key(sub), want)
+	}
+}

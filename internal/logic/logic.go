@@ -58,16 +58,10 @@ func (op BinOp) String() string {
 type Bin struct {
 	Op   BinOp
 	X, Y Term
-
-	meta *hcMeta // hash-consing record; nil unless interned (intern.go)
 }
 
 // Neg is arithmetic negation.
-type Neg struct {
-	X Term
-
-	meta *hcMeta
-}
+type Neg struct{ X Term }
 
 func (Const) termNode() {}
 func (Var) termNode()   {}
@@ -161,30 +155,16 @@ func (op CmpOp) Negated() CmpOp {
 type Cmp struct {
 	Op   CmpOp
 	X, Y Term
-
-	meta *hcMeta // hash-consing record; nil unless interned (intern.go)
 }
 
 // Not is logical negation.
-type Not struct {
-	F Formula
-
-	meta *hcMeta
-}
+type Not struct{ F Formula }
 
 // And is n-ary conjunction (true when empty).
-type And struct {
-	Fs []Formula
-
-	meta *hcMeta
-}
+type And struct{ Fs []Formula }
 
 // Or is n-ary disjunction (false when empty).
-type Or struct {
-	Fs []Formula
-
-	meta *hcMeta
-}
+type Or struct{ Fs []Formula }
 
 func (Bool) formulaNode() {}
 func (Cmp) formulaNode()  {}
@@ -540,15 +520,59 @@ func Eval(f Formula, env map[string]int64) (bool, error) {
 	return false, fmt.Errorf("logic: unknown formula %T", f)
 }
 
-// Equal reports structural equality of formulas. Interned formulas
-// (see Intern) compare in O(1) — shared meta pointers are equal, and
-// differing precomputed hashes are unequal; everything else falls back
-// to an allocation-free structural walk.
-func Equal(a, b Formula) bool { return equalFormula(a, b) }
+// Equal reports structural equality of formulas by an allocation-free
+// walk.
+func Equal(a, b Formula) bool {
+	switch a := a.(type) {
+	case Bool:
+		b, ok := b.(Bool)
+		return ok && a.V == b.V
+	case Cmp:
+		b, ok := b.(Cmp)
+		return ok && a.Op == b.Op && EqualTerms(a.X, b.X) && EqualTerms(a.Y, b.Y)
+	case Not:
+		b, ok := b.(Not)
+		return ok && Equal(a.F, b.F)
+	case And:
+		b, ok := b.(And)
+		return ok && equalFormulas(a.Fs, b.Fs)
+	case Or:
+		b, ok := b.(Or)
+		return ok && equalFormulas(a.Fs, b.Fs)
+	}
+	return false
+}
 
-// EqualTerms reports structural equality of terms, with the same
-// interned fast path as Equal.
-func EqualTerms(a, b Term) bool { return equalTerm(a, b) }
+func equalFormulas(a, b []Formula) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// EqualTerms reports structural equality of terms.
+func EqualTerms(a, b Term) bool {
+	switch a := a.(type) {
+	case Const:
+		b, ok := b.(Const)
+		return ok && a.V == b.V
+	case Var:
+		b, ok := b.(Var)
+		return ok && a.Name == b.Name
+	case Bin:
+		b, ok := b.(Bin)
+		return ok && a.Op == b.Op && EqualTerms(a.X, b.X) && EqualTerms(a.Y, b.Y)
+	case Neg:
+		b, ok := b.(Neg)
+		return ok && EqualTerms(a.X, b.X)
+	}
+	return false
+}
 
 // Size returns the number of nodes (formula connectives, comparison
 // atoms, and term operators/leaves) in f — the formula-size measure

@@ -243,3 +243,41 @@ func TestQuickSubstEval(t *testing.T) {
 		}
 	}
 }
+
+func TestEqualStructuralWalk(t *testing.T) {
+	// Equal must agree with the string-comparison semantics it
+	// replaced, in both argument orders.
+	type pair struct {
+		a, b Formula
+		want bool
+	}
+	x, y := Var{Name: "x"}, Var{Name: "y"}
+	pairs := []pair{
+		{True, True, true},
+		{True, False, false},
+		{Cmp{Op: CmpEq, X: x, Y: y}, Cmp{Op: CmpEq, X: x, Y: y}, true},
+		{Cmp{Op: CmpEq, X: x, Y: y}, Cmp{Op: CmpEq, X: y, Y: x}, false},
+		{Cmp{Op: CmpEq, X: x, Y: y}, Cmp{Op: CmpNe, X: x, Y: y}, false},
+		{MkAnd(Cmp{Op: CmpLt, X: x, Y: y}), Cmp{Op: CmpLt, X: x, Y: y}, true},
+		{And{Fs: []Formula{True}}, And{Fs: []Formula{True, True}}, false},
+		{Not{F: True}, Not{F: True}, true},
+		{Not{F: True}, True, false},
+		{Cmp{Op: CmpEq, X: Neg{X: x}, Y: Const{V: 0}}, Cmp{Op: CmpEq, X: Neg{X: x}, Y: Const{V: 0}}, true},
+		{Cmp{Op: CmpEq, X: Bin{Op: OpMul, X: x, Y: y}, Y: Const{V: 0}},
+			Cmp{Op: CmpEq, X: Bin{Op: OpAdd, X: x, Y: y}, Y: Const{V: 0}}, false},
+	}
+	for _, p := range pairs {
+		for _, swap := range []bool{false, true} {
+			a, b := p.a, p.b
+			if swap {
+				a, b = b, a
+			}
+			if got := Equal(a, b); got != p.want {
+				t.Errorf("Equal(%s, %s) = %v, want %v", a, b, got, p.want)
+			}
+			if stringEq := a.String() == b.String(); stringEq != p.want {
+				t.Errorf("test vector inconsistent with string semantics: %s vs %s", a, b)
+			}
+		}
+	}
+}

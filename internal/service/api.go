@@ -188,9 +188,6 @@ type ReuseStats struct {
 	// PostMemoHits counts abstract-post memo hits during this request
 	// (/v1/check only).
 	PostMemoHits int64 `json:"post_memo_hits"`
-	// InternedNodes is the current size of the hash-cons intern table
-	// (epoch-collected; see docs/PERFORMANCE.md).
-	InternedNodes int `json:"interned_nodes"`
 }
 
 // ErrorResponse is the body of every non-2xx API answer. Error is a
@@ -244,11 +241,6 @@ type StatsResponse struct {
 	Degraded int64 `json:"degraded"`
 	// SolverCache snapshots the shared verdict cache.
 	SolverCache SolverCacheStats `json:"solver_cache"`
-	// InternedNodes, InternEpoch and InternCollected describe the
-	// hash-cons interner and its epoch GC.
-	InternedNodes   int    `json:"interned_nodes"`
-	InternEpoch     uint64 `json:"intern_epoch"`
-	InternCollected int64  `json:"intern_collected"`
 	// Draining reports that the server has stopped admitting sessions
 	// and is finishing in-flight work (SIGTERM handling).
 	Draining bool `json:"draining"`

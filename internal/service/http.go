@@ -18,7 +18,6 @@ import (
 	"pathslice/internal/cegar"
 	"pathslice/internal/cfa"
 	"pathslice/internal/core"
-	"pathslice/internal/logic"
 	"pathslice/internal/obs"
 	"pathslice/internal/smt"
 )
@@ -522,9 +521,7 @@ func (s *Server) finishSlice(resp *SliceResponse, sl *core.Slicer, cacheBefore s
 
 // fillReuse completes the shared-state half of a reuse report.
 func (s *Server) fillReuse(ru *ReuseStats, cacheBefore smt.CacheStats) {
-	after := s.cache.Stats()
-	ru.SolverCacheHits = after.Hits - cacheBefore.Hits
-	ru.InternedNodes = logic.InternedCount()
+	ru.SolverCacheHits = s.cache.Stats().Hits - cacheBefore.Hits
 }
 
 // ---------------------------------------------------------------------------

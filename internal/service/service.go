@@ -12,11 +12,7 @@
 //   - one shared, sharded smt.Cache of solver verdicts, used by both
 //     the CEGAR abstract post and the slice-feasibility path (verdicts
 //     are pure facts about formulas, so sharing across programs is
-//     sound);
-//   - the logic hash-cons interner, kept alive forever by epoch GC
-//     (logic.AdvanceInternEpoch / logic.CollectInterned) so it neither
-//     grows without bound nor loses its hot entries to wholesale
-//     flushes.
+//     sound).
 //
 // Admission control repurposes the PR3 deadline/degradation contract
 // (docs/ROBUSTNESS.md): at most MaxInflight sessions run concurrently;
@@ -40,24 +36,21 @@ import (
 	"pathslice/internal/cfa"
 	"pathslice/internal/compile"
 	"pathslice/internal/core"
-	"pathslice/internal/logic"
 	"pathslice/internal/obs"
 	"pathslice/internal/smt"
 )
 
 // Registry metrics for the service (see docs/OBSERVABILITY.md).
 var (
-	mRequests        = obs.Default().Counter("slicerd_requests_total")
-	mShed            = obs.Default().Counter("slicerd_load_shed_total")
-	mDegraded        = obs.Default().Counter("slicerd_degraded_total")
-	mProgHits        = obs.Default().Counter("slicerd_program_cache_hits_total")
-	mProgMisses      = obs.Default().Counter("slicerd_program_cache_misses_total")
-	mProgEvictions   = obs.Default().Counter("slicerd_program_evictions_total")
-	mInternCollected = obs.Default().Counter("slicerd_intern_collected_total")
-	mInflight        = obs.Default().Gauge("slicerd_inflight")
-	mPrograms        = obs.Default().Gauge("slicerd_programs")
-	mInternedNodes   = obs.Default().Gauge("slicerd_interned_nodes")
-	mRequestNS       = obs.Default().Histogram("slicerd_request_ns")
+	mRequests      = obs.Default().Counter("slicerd_requests_total")
+	mShed          = obs.Default().Counter("slicerd_load_shed_total")
+	mDegraded      = obs.Default().Counter("slicerd_degraded_total")
+	mProgHits      = obs.Default().Counter("slicerd_program_cache_hits_total")
+	mProgMisses    = obs.Default().Counter("slicerd_program_cache_misses_total")
+	mProgEvictions = obs.Default().Counter("slicerd_program_evictions_total")
+	mInflight      = obs.Default().Gauge("slicerd_inflight")
+	mPrograms      = obs.Default().Gauge("slicerd_programs")
+	mRequestNS     = obs.Default().Histogram("slicerd_request_ns")
 
 	mDraining          = obs.Default().Gauge("slicerd_draining")
 	mDrainShed         = obs.Default().Counter("slicerd_drain_shed_total")
@@ -90,17 +83,11 @@ type Config struct {
 	MaxBodyBytes   int64
 	// MaxPrograms bounds the program-state LRU (default 64). Evicting
 	// a program drops its analyses, frame summaries, and checker memos
-	// — but not the shared solver cache or the interner.
+	// — but not the shared solver cache.
 	MaxPrograms int
 	// SolverCacheSize bounds the shared verdict cache (default
 	// smt.DefaultCacheSize).
 	SolverCacheSize int
-	// InternKeepEpochs is the interner GC retention window: entries
-	// unused for this many epochs are collected (default 4).
-	InternKeepEpochs int
-	// GCInterval is the epoch cadence of the background interner GC
-	// loop; 0 disables the loop (callers may drive GCNow themselves).
-	GCInterval time.Duration
 	// SnapshotPath, when set, enables warm-state snapshots: boot
 	// restores from the file (a missing/corrupt/stale file only costs
 	// misses), and SaveSnapshot writes to it atomically.
@@ -133,15 +120,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxPrograms <= 0 {
 		c.MaxPrograms = 64
 	}
-	if c.InternKeepEpochs <= 0 {
-		c.InternKeepEpochs = 4
-	}
 	return c
 }
 
 // Server is the daemon's state: the program LRU, the shared solver
-// cache, the admission semaphore, and the interner GC loop. Create
-// with New, expose with Handler, stop with Close.
+// cache, the admission semaphore, and the snapshot loop. Create with
+// New, expose with Handler, stop with Close.
 type Server struct {
 	cfg   Config
 	cache *smt.Cache
@@ -151,9 +135,6 @@ type Server struct {
 	mu    sync.Mutex
 	progs map[string]*list.Element // source hash → *programState element
 	order *list.List               // front = most recently used
-
-	stopGC chan struct{}
-	gcDone chan struct{}
 
 	stopSnap chan struct{}
 	snapDone chan struct{}
@@ -169,11 +150,10 @@ type Server struct {
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
-	requests        atomic.Int64
-	shed            atomic.Int64
-	degraded        atomic.Int64
-	internCollected atomic.Int64
-	reqSeq          atomic.Int64
+	requests atomic.Int64
+	shed     atomic.Int64
+	degraded atomic.Int64
+	reqSeq   atomic.Int64
 
 	saveMu                sync.Mutex // serializes SaveSnapshot
 	snapRestoredPrograms  atomic.Int64
@@ -184,9 +164,8 @@ type Server struct {
 	snapLastBytes         atomic.Int64
 }
 
-// New builds a Server and, when cfg.GCInterval > 0, starts its
-// background interner GC loop. With cfg.SnapshotPath set it restores
-// warm state from the snapshot file (restore failures only cost
+// New builds a Server. With cfg.SnapshotPath set it restores warm
+// state from the snapshot file (restore failures only cost
 // misses) and, with cfg.SnapshotInterval > 0, starts the periodic
 // snapshot-save loop. New leaves the obs default registry as it finds
 // it: the slicerd_* metrics accumulate only while the caller has it
@@ -208,11 +187,6 @@ func New(cfg Config) *Server {
 		// a cold start for the affected records.
 		_, _ = s.RestoreSnapshot(cfg.SnapshotPath)
 	}
-	if cfg.GCInterval > 0 {
-		s.stopGC = make(chan struct{})
-		s.gcDone = make(chan struct{})
-		go s.gcLoop()
-	}
 	if cfg.SnapshotPath != "" && cfg.SnapshotInterval > 0 {
 		s.stopSnap = make(chan struct{})
 		s.snapDone = make(chan struct{})
@@ -221,14 +195,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the background GC and snapshot loops; the server remains
-// usable for requests (only the periodic work stops).
+// Close stops the background snapshot loop; the server remains usable
+// for requests (only the periodic work stops).
 func (s *Server) Close() {
-	if s.stopGC != nil {
-		close(s.stopGC)
-		<-s.gcDone
-		s.stopGC = nil
-	}
 	if s.stopSnap != nil {
 		close(s.stopSnap)
 		<-s.snapDone
@@ -305,35 +274,6 @@ func (s *Server) snapLoop() {
 			_ = s.SaveSnapshot(s.cfg.SnapshotPath)
 		}
 	}
-}
-
-func (s *Server) gcLoop() {
-	defer close(s.gcDone)
-	t := time.NewTicker(s.cfg.GCInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopGC:
-			return
-		case <-t.C:
-			s.GCNow()
-		}
-	}
-}
-
-// GCNow advances the interner epoch and collects entries outside the
-// retention window, returning the number collected. The background
-// loop calls it every GCInterval; tests and embedders may call it
-// directly.
-func (s *Server) GCNow() int {
-	logic.AdvanceInternEpoch()
-	n := logic.CollectInterned(s.cfg.InternKeepEpochs)
-	if n > 0 {
-		s.internCollected.Add(int64(n))
-		mInternCollected.Add(int64(n))
-	}
-	mInternedNodes.Set(int64(logic.InternedCount()))
-	return n
 }
 
 // tryAcquire claims an admission slot without blocking; callers that
@@ -511,11 +451,8 @@ func (s *Server) Stats() StatsResponse {
 			Evictions: cs.Evictions,
 			Entries:   cs.Entries,
 		},
-		InternedNodes:   logic.InternedCount(),
-		InternEpoch:     logic.InternEpoch(),
-		InternCollected: s.internCollected.Load(),
-		Draining:        s.draining.Load(),
-		Snapshot:        s.snapshotStats(),
+		Draining: s.draining.Load(),
+		Snapshot: s.snapshotStats(),
 	}
 }
 

@@ -425,34 +425,12 @@ func TestConcurrentMixed(t *testing.T) {
 						t.Errorf("srcSafe check verdict = %q", got.Verdict)
 					}
 				}
-				// Interleave interner GC with live traffic: collection
-				// must never perturb results (it only loses sharing).
-				if i%2 == 0 {
-					s.GCNow()
-				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	if st := s.Stats(); st.Programs != 3 {
 		t.Fatalf("programs = %d, want 3", st.Programs)
-	}
-}
-
-// TestInternGC: after enough epoch advances, the service collects
-// intern-table entries and keeps counting them.
-func TestInternGC(t *testing.T) {
-	s, ts := newTestServer(t, Config{InternKeepEpochs: 1})
-	postSlice(t, ts, SliceRequest{Source: srcBug})
-	total := 0
-	for i := 0; i < 3; i++ {
-		total += s.GCNow()
-	}
-	if total == 0 {
-		t.Fatal("epoch GC must collect the request's interned formulas")
-	}
-	if s.Stats().InternCollected != int64(total) {
-		t.Fatal("stats must account collected interned nodes")
 	}
 }
 

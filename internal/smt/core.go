@@ -28,9 +28,7 @@ const maxCoreCandidates = 256
 // answer for a subset of its trial, so the core stays unsatisfiable
 // whatever a solve answers: an Unknown only keeps a member. Every
 // group solve runs under ctx, and once ctx is done minimization stops
-// and the current core is returned, only less minimal. Because
-// assertions are interned, the test for trivially true members is a
-// pointer comparison rather than a serialization.
+// and the current core is returned, only less minimal.
 func (s *Solver) UnsatCore(ctx context.Context) ([]logic.Formula, []int) {
 	if !s.lastUns {
 		return nil, nil
@@ -41,7 +39,7 @@ func (s *Solver) UnsatCore(ctx context.Context) ([]logic.Formula, []int) {
 	idx := make([]int, 0, len(s.asserted))
 	cands := make([]logic.Formula, 0, len(s.asserted))
 	for i, f := range s.asserted {
-		if _, isTrue := f.(logic.Bool); isTrue && logic.Equal(f, logic.True) {
+		if b, ok := f.(logic.Bool); ok && b.V {
 			continue // trivially irrelevant
 		}
 		idx = append(idx, i)

@@ -21,10 +21,7 @@ import (
 //     from the last feasible basis — a check after k new assertions
 //     re-pivots the existing tableau with k new rows instead of
 //     rebuilding and re-solving all n, with a from-scratch rebuild as
-//     fallback when warm re-pivoting exhausts its budget;
-//   - Push/Pop are trail-based: Pop undoes the recorded deltas (bound
-//     changes in the tableau, slice truncations) rather than
-//     discarding the solver state.
+//     fallback when warm re-pivoting exhausts its budget.
 //
 // The engine handles pure conjunctions of (in)equalities natively —
 // the shape every trace-formula assertion has. Assertions with
@@ -48,12 +45,10 @@ import (
 const warmPivotBudget = 20000
 
 // Solver is an incremental conjunction of formulas with a persistent
-// Unsat state: once the asserted set is unsatisfiable it stays so
-// until a Pop removes assertions (Push never clears it — pushing only
-// adds assertions, which cannot make an unsatisfiable set satisfiable).
+// Unsat state: once the asserted set is unsatisfiable it stays so,
+// since asserting more cannot make it satisfiable again.
 type Solver struct {
 	asserted []logic.Formula
-	frames   []solverFrame
 	lim      Limits
 	lastUns  bool
 	// Stats
@@ -67,20 +62,7 @@ type Solver struct {
 
 	sx      *simplex
 	sxAtoms int  // atoms already realized as tableau rows
-	sxGen   int  // bumped on rebuild: frames from older generations drop sx on Pop
 	warm    bool // a check has run on the current tableau
-}
-
-// solverFrame records the deltas a Pop must undo.
-type solverFrame struct {
-	nAsserted int
-	nAtoms    int
-	nNes      int
-	nComplex  int
-	lastUns   bool
-	sxMark    int
-	sxAtoms   int
-	sxGen     int
 }
 
 // NewSolver returns an empty incremental solver.
@@ -89,11 +71,10 @@ func NewSolver() *Solver { return &Solver{lin: newLinearizer()} }
 // NewSolverWithLimits returns an empty solver with custom limits.
 func NewSolverWithLimits(lim Limits) *Solver { return &Solver{lin: newLinearizer(), lim: lim} }
 
-// Assert conjoins f to the asserted set. The formula is interned
-// (hash-consed) and decomposed into the persistent conjunctive state
-// immediately; the next Check only pays for this delta.
+// Assert conjoins f to the asserted set. The formula is decomposed
+// into the persistent conjunctive state immediately; the next Check
+// only pays for this delta.
 func (s *Solver) Assert(f logic.Formula) {
-	f = logic.Intern(f)
 	s.asserted = append(s.asserted, f)
 	if s.lin == nil {
 		s.lin = newLinearizer()
@@ -124,58 +105,6 @@ func (s *Solver) addConjuncts(f logic.Formula) {
 	default:
 		s.complex = append(s.complex, f)
 	}
-}
-
-// Push saves the current assertion set. The persistent Unsat flag is
-// deliberately retained: a Push only opens the door to *more*
-// assertions, which cannot make an unsatisfiable set satisfiable, so
-// forgetting the flag would force needless re-solves.
-func (s *Solver) Push() {
-	fr := solverFrame{
-		nAsserted: len(s.asserted),
-		nAtoms:    len(s.atoms),
-		nNes:      len(s.nes),
-		nComplex:  len(s.complex),
-		lastUns:   s.lastUns,
-		sxAtoms:   s.sxAtoms,
-		sxGen:     s.sxGen,
-	}
-	if s.sx != nil {
-		fr.sxMark = s.sx.mark()
-	}
-	s.frames = append(s.frames, fr)
-}
-
-// Pop restores the assertion set to the last Push by undoing the
-// recorded deltas; the persistent Unsat flag is restored to its value
-// at Push time (the flag described exactly the set Pop restores).
-func (s *Solver) Pop() {
-	if len(s.frames) == 0 {
-		return
-	}
-	fr := s.frames[len(s.frames)-1]
-	s.frames = s.frames[:len(s.frames)-1]
-	s.asserted = s.asserted[:fr.nAsserted]
-	s.atoms = s.atoms[:fr.nAtoms]
-	s.nes = s.nes[:fr.nNes]
-	s.complex = s.complex[:fr.nComplex]
-	s.lastUns = fr.lastUns
-	if s.sx != nil {
-		if s.sxGen != fr.sxGen {
-			// The tableau was rebuilt inside the frame: its rows bake in
-			// popped assertions, so the trail mark is meaningless. Drop
-			// it; the next check rebuilds from the surviving atoms.
-			s.sx = nil
-			s.sxAtoms = 0
-			s.warm = false
-		} else {
-			s.sx.popTo(fr.sxMark)
-			s.sxAtoms = fr.sxAtoms
-		}
-	}
-	// The linearizer is kept: abstraction variables for popped nonlinear
-	// terms stay bound to the same names, which is consistent (and
-	// required — retained atoms may mention them).
 }
 
 // Check decides the conjunction of all asserted formulas.
@@ -347,10 +276,9 @@ func (s *Solver) ensureRows() Status {
 	return st
 }
 
-// rebuild discards the tableau and realizes every live atom afresh —
+// rebuild discards the tableau and realizes every atom afresh —
 // the fallback when warm re-pivoting exhausts its budget.
 func (s *Solver) rebuild() Status {
-	s.sxGen++
 	s.sx = nil
 	return s.ensureRows()
 }
@@ -477,6 +405,3 @@ func (s *Solver) validateConj(model map[string]int64) bool {
 	}
 	return true
 }
-
-// Assertions returns the number of asserted formulas.
-func (s *Solver) Assertions() int { return len(s.asserted) }

@@ -7,10 +7,9 @@ import (
 	"pathslice/internal/logic"
 )
 
-// TestPushKeepsUnsat is the regression test for the Push/lastUns bug:
-// Push only ever adds assertions, so an unsatisfiable set must stay
-// unsatisfiable across Push — and the solver must answer from its
-// persistent flag without re-solving.
+// TestPushKeepsUnsat: asserting more only adds constraints, so an
+// unsatisfiable set must stay unsatisfiable — and the solver must
+// answer from its persistent flag without re-solving.
 func TestPushKeepsUnsat(t *testing.T) {
 	x := logic.Var{Name: "x"}
 	s := NewSolver()
@@ -20,49 +19,12 @@ func TestPushKeepsUnsat(t *testing.T) {
 		t.Fatalf("contradiction: got %v", r.Status)
 	}
 	checks := s.Checks
-	s.Push()
 	s.Assert(ge(logic.Var{Name: "y"}, logic.Const{V: 5}))
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatalf("superset of unsat set must stay unsat, got %v", r.Status)
 	}
 	if s.Checks != checks {
-		t.Fatalf("sticky unsat across Push must not re-solve: %d solver checks, want %d", s.Checks, checks)
-	}
-	s.Pop()
-	// The flag at Push time was true, so Pop restores an unsat state.
-	if r := s.Check(); r.Status != StatusUnsat {
-		t.Fatalf("post-Pop state was unsat at Push, got %v", r.Status)
-	}
-	if s.Checks != checks {
-		t.Fatalf("sticky unsat across Pop must not re-solve: %d solver checks, want %d", s.Checks, checks)
-	}
-}
-
-// TestPopRestoresSatisfiability exercises the bound trail: popping a
-// frame must undo its tableau bound changes so an earlier satisfiable
-// state is recovered — on the *same* retained tableau, not a rebuild.
-func TestPopRestoresSatisfiability(t *testing.T) {
-	x := logic.Var{Name: "x"}
-	s := NewSolver()
-	s.Assert(le(x, logic.Const{V: 10}))
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("x<=10: got %v", r.Status)
-	}
-	sx := s.sx
-	s.Push()
-	s.Assert(ge(x, logic.Const{V: 20}))
-	if r := s.Check(); r.Status != StatusUnsat {
-		t.Fatalf("x<=10 && x>=20: got %v", r.Status)
-	}
-	s.Pop()
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("after Pop, x<=10 alone must be sat again: got %v", r.Status)
-	}
-	if s.sx != sx {
-		t.Fatal("Pop within one tableau generation must keep the tableau")
-	}
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("repeat check: got %v", r.Status)
+		t.Fatalf("sticky unsat must not re-solve: %d solver checks, want %d", s.Checks, checks)
 	}
 }
 
@@ -119,14 +81,12 @@ func TestComplexAssertionFallsBack(t *testing.T) {
 	}
 	// An unsat conjunctive subset refutes the whole set without
 	// touching the disjunction.
-	s.Push()
+	s = NewSolver()
+	s.Assert(disj)
+	s.Assert(ge(x, logic.Const{V: 5}))
 	s.Assert(le(x, logic.Const{V: 4}))
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatalf("x>=5 && x<=4 with disjunct present: got %v", r.Status)
-	}
-	s.Pop()
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("after Pop: got %v", r.Status)
 	}
 }
 
@@ -165,47 +125,6 @@ func TestIncrementalNonlinearValidation(t *testing.T) {
 	if r := s2.Check(); r.Status != StatusUnsat {
 		t.Fatalf("x!=y && x=y: got %v", r.Status)
 	}
-}
-
-// TestNestedFramesRestoreExactState drives three nested frames and
-// pops them one by one, checking the verdict at every level.
-func TestNestedFramesRestoreExactState(t *testing.T) {
-	x := logic.Var{Name: "x"}
-	s := NewSolver()
-	s.Assert(ge(x, logic.Const{V: 0}))
-	s.Push()
-	s.Assert(le(x, logic.Const{V: 100}))
-	s.Push()
-	s.Assert(ge(x, logic.Const{V: 50}))
-	s.Push()
-	s.Assert(le(x, logic.Const{V: 40}))
-	if r := s.Check(); r.Status != StatusUnsat {
-		t.Fatalf("level 3: got %v", r.Status)
-	}
-	s.Pop()
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("level 2 (0<=x<=100, x>=50): got %v", r.Status)
-	}
-	if v := r50(s, t); v < 50 || v > 100 {
-		t.Fatalf("level 2 model out of range: %d", v)
-	}
-	s.Pop()
-	s.Pop()
-	if s.Assertions() != 1 {
-		t.Fatalf("assertions after full unwind: %d, want 1", s.Assertions())
-	}
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("base level: got %v", r.Status)
-	}
-}
-
-func r50(s *Solver, t *testing.T) int64 {
-	t.Helper()
-	r := s.Check()
-	if r.Status != StatusSat {
-		t.Fatalf("expected sat, got %v", r.Status)
-	}
-	return r.Model["x"]
 }
 
 // TestUnsatCoreIncremental: the core facility must survive the engine

@@ -49,8 +49,9 @@ type simplex struct {
 
 	pivots int // pivots so far; check stops at maxPivots
 
-	// Trail-based backtracking for the incremental solver: when
-	// recording, every bound assignment is logged so popTo can undo it.
+	// Trail-based backtracking for the incremental solver's
+	// branch-and-bound and disequality splits: when recording, every
+	// bound assignment is logged so popTo can undo it.
 	// Bounds are the only state that needs undoing — rows and pivots
 	// are semantically invariant reformulations of the same linear
 	// relations, and variable values are just the current assignment,

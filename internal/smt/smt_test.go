@@ -189,22 +189,18 @@ func TestIncrementalSolver(t *testing.T) {
 	if r := s.Check(); r.Status != StatusSat {
 		t.Fatalf("x>=0: %s", r.Status)
 	}
-	s.Push()
 	s.Assert(lt(x, c(0)))
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatalf("x>=0 && x<0: %s", r.Status)
 	}
-	// Unsat is sticky until Pop.
+	// Unsat is sticky: later checks answer without re-solving.
+	checks := s.Checks
 	s.Assert(eq(x, c(1)))
 	if r := s.Check(); r.Status != StatusUnsat {
 		t.Fatal("unsat must be sticky")
 	}
-	s.Pop()
-	if r := s.Check(); r.Status != StatusSat {
-		t.Fatalf("after pop: %s", r.Status)
-	}
-	if s.Assertions() != 1 {
-		t.Errorf("assertions: %d", s.Assertions())
+	if s.Checks != checks {
+		t.Fatalf("sticky unsat must not re-solve: %d solver checks, want %d", s.Checks, checks)
 	}
 }
 

@@ -18,9 +18,9 @@ func (e *TraceEncoder) EncodeOpBackward(op cfa.Op) logic.Formula {
 	switch op.Kind {
 	case cfa.OpAssume:
 		f, side := e.pred(op.Pred)
-		return logic.Intern(logic.MkAnd(append(side, f)...))
+		return logic.MkAnd(append(side, f)...)
 	case cfa.OpAssign:
-		return logic.Intern(e.assignBackward(op.LHS, op.RHS))
+		return e.assignBackward(op.LHS, op.RHS)
 	default:
 		return logic.True
 	}

@@ -177,17 +177,14 @@ func (e *TraceEncoder) CurrentName(name string) string {
 
 // EncodeOp returns the constraint contributed by op and advances the
 // SSA state. Calls and returns contribute true (identity semantics,
-// §4). The result is interned: the CEGAR loop re-encodes the same
-// trace operations across iterations, and hash-consing makes those
-// repeats share one node — so solver-cache key computation and
-// equality tests on them are O(1) (see internal/logic's interner).
+// §4).
 func (e *TraceEncoder) EncodeOp(op cfa.Op) logic.Formula {
 	switch op.Kind {
 	case cfa.OpAssume:
 		f, side := e.pred(op.Pred)
-		return logic.Intern(logic.MkAnd(append(side, f)...))
+		return logic.MkAnd(append(side, f)...)
 	case cfa.OpAssign:
-		return logic.Intern(e.assign(op.LHS, op.RHS))
+		return e.assign(op.LHS, op.RHS)
 	default:
 		return logic.True
 	}
@@ -200,7 +197,7 @@ func (e *TraceEncoder) EncodeTrace(ops []cfa.Op) logic.Formula {
 	for _, op := range ops {
 		fs = append(fs, e.EncodeOp(op))
 	}
-	f := logic.Intern(logic.MkAnd(fs...))
+	f := logic.MkAnd(fs...)
 	mTraceEncodes.Inc()
 	mTraceFormulaSize.Observe(int64(logic.Size(f)))
 	sp.End()
