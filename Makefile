@@ -42,8 +42,10 @@ perfbench:
 # Short native-fuzzing smoke over the byte-input boundaries (the MiniC
 # parser — sequential and threaded grammars — the smt linearizer, the
 # solver's exact number type at the int64 word boundary, its grouped
-# unsat-core filter against the plain one, and the PSTRC02
-# concurrent-trace decoder); `make FUZZTIME=5m fuzz` digs deeper.
+# unsat-core filter against the plain one, the cache key, one-variable
+# substitution and conjunction builder of package logic against the
+# code they replaced, and the PSTRC02 concurrent-trace decoder);
+# `make FUZZTIME=5m fuzz` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/lang/parser/ -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME)
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzLinearize -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzNum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzUnsatCore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzKeySubst1 -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cfa/ -run '^$$' -fuzz FuzzConcurrentTrace -fuzztime $(FUZZTIME)
 
 # Differential/metamorphic oracle campaign over generated programs

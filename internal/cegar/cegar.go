@@ -259,8 +259,12 @@ type Checker struct {
 	// old predicate's WP entailment depends only on the edge and the
 	// determined conjuncts captured in the key, and undetermined new
 	// predicates add no conjunct — so a lookup reuses the old prefix
-	// and computes only the newly-added predicates.
-	postMemo map[string]*postMemoEntry
+	// and computes only the newly-added predicates. The map holds each
+	// entry's index in memos, so an entry is not an object of its own,
+	// and an entry's first values are carved from memoVals.
+	postMemo map[string]int32
+	memos    []postMemoEntry
+	memoVals []memoVal
 	// predIDs numbers predicate contents for postMemo's keys and
 	// entries. It is created and flushed together with postMemo, so an
 	// ID names the same content for as long as any entry that holds it.
@@ -284,6 +288,11 @@ type Checker struct {
 	// keyBuf and scopeBuf are memoKey's scratch space.
 	keyBuf   []byte
 	scopeBuf []string
+	// vals and stack hold the successor one post computes until reach
+	// keeps it (exploration.keep). They are bounded by one post; the
+	// exploration itself never outlives reach.
+	vals  []int8
+	stack []*cfa.Edge
 
 	// uncachedCalls counts smt.Solve invocations when the cache is
 	// disabled (with the cache on, its miss counter plays this role).
@@ -297,13 +306,19 @@ type Checker struct {
 	// of an entailment query, dropGuardLiteral one connected literal out
 	// of a prune query, copyUndetermined copies undetermined values
 	// across assumes, and skipLastComponent calls the last component of
-	// each entailment query Sat without deciding it.
+	// each entailment query Sat without deciding it. reachRoot observes
+	// each reach's root state, and keepExploration plants the retention
+	// a long-lived checker must not have: it keeps the last exploration
+	// in kept.
 	checkEntail       func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
 	checkPrune        func(st *absState, e *cfa.Edge, preds []predicate, pruned bool)
 	dropConnected     bool
 	dropGuardLiteral  bool
 	copyUndetermined  bool
 	skipLastComponent bool
+	reachRoot         func(root *absState)
+	keepExploration   bool
+	kept              *exploration
 }
 
 // New builds a checker for prog.
@@ -328,6 +343,15 @@ func New(prog *cfa.Program, opts Options) *Checker {
 // it flushes the table at the next Check (a warm service trades the
 // occasional cold start for bounded memory).
 const maxPostMemoEntries = 1 << 17
+
+// readyMemo creates the abstract-post memo, or flushes it once it has
+// outgrown maxPostMemoEntries.
+func (c *Checker) readyMemo() {
+	if c.postMemo == nil || len(c.postMemo) > maxPostMemoEntries {
+		c.postMemo, c.memos, c.memoVals = make(map[string]int32), nil, nil
+		c.predIDs = make(map[string]uint32)
+	}
+}
 
 // solve routes an abstract-post query through the solver cache, under
 // the check's context and per-query limits. A cancelled or
@@ -390,10 +414,7 @@ func (c *Checker) CheckCtx(ctx context.Context, target *cfa.Loc) (res *Result, e
 	// valid even though predicate indices restart. A long-lived Checker
 	// (cmd/slicerd) therefore answers repeat traffic from a warm memo;
 	// the cap below bounds its memory on pathological workloads.
-	if c.postMemo == nil || len(c.postMemo) > maxPostMemoEntries {
-		c.postMemo = make(map[string]*postMemoEntry)
-		c.predIDs = make(map[string]uint32)
-	}
+	c.readyMemo()
 	startUncached := c.uncachedCalls
 	startCache := c.cacheStats()
 	startMemo := c.memoHits
@@ -556,18 +577,9 @@ type absState struct {
 	// parent and via reconstruct the abstract counterexample.
 	parent *absState
 	via    *cfa.Edge
-}
-
-// ctxKey identifies a state's control context (location + stack); the
-// predicate valuation is handled by the covering relation. It is the
-// location ID, then each stack edge's ID, as self-delimiting uvarints.
-func (st *absState) ctxKey() string {
-	var buf [32]byte
-	b := binary.AppendUvarint(buf[:0], uint64(st.loc.ID))
-	for _, e := range st.stack {
-		b = binary.AppendUvarint(b, uint64(e.ID))
-	}
-	return string(b)
+	// next links the visited states of one control context, oldest
+	// first (exploration.covered); queue links the frontier.
+	next, queue *absState
 }
 
 // covers reports whether a visited valuation a subsumes b: every
@@ -582,37 +594,149 @@ func covers(a, b []int8) bool {
 	return true
 }
 
-// coverSet tracks visited valuations per control context.
-type coverSet struct {
+// exploration is one reach's state: the states it keeps, the cover set
+// over them and the frontier. It lives only as long as that reach, so a
+// long-lived checker (cmd/slicerd) pins nothing of an exploration once
+// it returns. States, control contexts, valuations and call stacks are
+// carved from chunks that double up to chunkMax states, and the
+// frontier is a list through the states, so keeping a state is a few
+// slice operations rather than allocations of its own.
+//
+// The cover set indexes control contexts (location and stack; the
+// valuation is the covering relation's) by location: byLoc holds, per
+// location ID, the newest context there, and each context links to the
+// previous one at its location. A location has few contexts (one per
+// distinct stack it is reached under: at most three on Table 1, where
+// nearly every context holds one state), so finding one compares a
+// stack or two and allocates nothing.
+type exploration struct {
 	exact bool
-	m     map[string][][]int8
+	byLoc []*ctxList
+	// found is the context covered last looked up, nil when it was new.
+	found *ctxList
+
+	// head and tail end the frontier, linked through absState.queue: a
+	// queue for BFS, a stack (tail unused) for DFS.
+	dfs        bool
+	head, tail *absState
+
+	chunk  int // states per chunk, doubling up to chunkMax
+	states []absState
+	ctxs   []ctxList
+	vals   []int8 // room for the valuations of the chunk's other states
+	stacks []*cfa.Edge
 }
 
-func newCoverSet(exact bool) *coverSet {
-	return &coverSet{exact: exact, m: make(map[string][][]int8)}
+// ctxList holds one control context's states, oldest first, linked
+// through absState.next, and the previous context at its location.
+type ctxList struct {
+	first, last *absState
+	prev        *ctxList
 }
 
-// add registers the state and reports whether it was already covered.
-func (cs *coverSet) add(st *absState) bool {
-	k := st.ctxKey()
-	for _, vals := range cs.m[k] {
-		if cs.exact {
-			same := true
-			for i := range vals {
-				if vals[i] != st.vals[i] {
-					same = false
-					break
-				}
-			}
-			if same {
+// chunkMax bounds the states one chunk holds; stackChunk is how many
+// call stacks one chunk of stacks holds, as calls are a small share of
+// the states.
+const (
+	chunkMax   = 1024
+	stackChunk = 32
+)
+
+func newExploration(prog *cfa.Program, exact, dfs bool) *exploration {
+	return &exploration{exact: exact, dfs: dfs, byLoc: make([]*ctxList, prog.NumLocs()), chunk: 16}
+}
+
+// covered reports whether a visited state of st's control context
+// covers st (with ExactCover: has st's valuation). It allocates
+// nothing; keep then registers st when it was not covered.
+func (x *exploration) covered(st *absState) bool {
+	x.found = x.byLoc[st.loc.ID]
+	for x.found != nil && !slices.Equal(x.found.first.stack, st.stack) {
+		x.found = x.found.prev
+	}
+	if x.found == nil {
+		return false
+	}
+	for v := x.found.first; v != nil; v = v.next {
+		if x.exact {
+			if slices.Equal(v.vals, st.vals) {
 				return true
 			}
-		} else if covers(vals, st.vals) {
+		} else if covers(v.vals, st.vals) {
 			return true
 		}
 	}
-	cs.m[k] = append(cs.m[k], st.vals)
 	return false
+}
+
+// keep copies st, which covered just found uncovered, into the
+// exploration: its valuation when it lives in the post's scratch, and
+// on a call its stack, which does too. Returns and calls share the
+// parent's valuation, and returns and other edges a prefix of its
+// stack, as those never change. The state joins its context's list and
+// the frontier.
+func (x *exploration) keep(st *absState) *absState {
+	if len(x.states) == 0 {
+		x.states = make([]absState, x.chunk)
+		x.chunk = min(2*x.chunk, chunkMax)
+	}
+	kept := &x.states[0]
+	x.states = x.states[1:]
+	*kept = *st
+	switch {
+	case st.via == nil || st.via.Op.Kind != cfa.OpCall && st.via.Op.Kind != cfa.OpReturn:
+		kept.vals = carve(&x.vals, st.vals, len(x.states)+1)
+	case st.via.Op.Kind == cfa.OpCall:
+		kept.stack = carve(&x.stacks, st.stack, stackChunk)
+	}
+	if x.found == nil {
+		if len(x.ctxs) == 0 {
+			x.ctxs = make([]ctxList, x.chunk)
+		}
+		x.found = &x.ctxs[0]
+		x.ctxs = x.ctxs[1:]
+		*x.found = ctxList{first: kept, prev: x.byLoc[st.loc.ID]}
+		x.byLoc[st.loc.ID] = x.found
+	} else {
+		x.found.last.next = kept
+	}
+	x.found.last = kept
+	switch {
+	case x.dfs:
+		kept.queue, x.head = x.head, kept
+	case x.tail == nil:
+		x.head, x.tail = kept, kept
+	default:
+		x.tail.queue, x.tail = kept, kept
+	}
+	return kept
+}
+
+// carve copies src into the front of *chunk, starting a chunk of room
+// for copies more when it has too little left, and returns the copy,
+// whose capacity ends at its length.
+func carve[T any](chunk *[]T, src []T, copies int) []T {
+	n := len(src)
+	if len(*chunk) < n {
+		*chunk = make([]T, n*copies)
+	}
+	dst := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	copy(dst, src)
+	return dst
+}
+
+// pop removes the next state to expand: the newest with DFS, the
+// oldest otherwise; nil when the frontier is empty.
+func (x *exploration) pop() *absState {
+	st := x.head
+	if st != nil {
+		x.head, st.queue = st.queue, nil
+		if x.head == nil {
+			x.tail = nil
+		}
+	}
+	return st
 }
 
 // predicate is one abstraction predicate together with what the
@@ -701,50 +825,61 @@ func (c *Checker) reach(ctx context.Context, target *cfa.Loc, preds []predicate,
 	sp := obs.StartSpan(obs.PhaseReach)
 	defer sp.End()
 	work := 0
-	main := c.prog.Funcs[c.prog.Main]
-	root := &absState{loc: main.Entry, vals: make([]int8, len(preds))}
-	visited := newCoverSet(c.opts.ExactCover)
-	visited.add(root)
-	frontier := []*absState{root}
-
-	pop := func() *absState {
-		var st *absState
-		if c.opts.DFS {
-			st = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		} else {
-			st = frontier[0]
-			frontier = frontier[1:]
-		}
-		return st
-	}
-
-	for len(frontier) > 0 {
+	x := c.startExploration(len(preds))
+	for st := x.pop(); st != nil; st = x.pop() {
 		if work >= budget || ctx.Err() != nil {
 			// Budget or wall-clock deadline exhausted mid-search: report
 			// "ran out" so the check answers Timeout, never a premature
 			// Safe.
 			return nil, work, true
 		}
-		st := pop()
 		if st.loc == target {
 			return extractPath(st), work, false
 		}
 		work++
 		mStatesExplored.Inc()
 		for _, e := range st.loc.Out {
-			succ, w := c.post(ctx, st, e, preds)
-			work += w
-			if succ == nil {
-				continue
-			}
-			if visited.add(succ) {
-				continue // covered
-			}
-			frontier = append(frontier, succ)
+			work += c.expand(ctx, x, st, e, preds)
 		}
 	}
 	return nil, work, false
+}
+
+// startExploration returns a new exploration holding only the root: the
+// entry of main with every predicate unknown.
+func (c *Checker) startExploration(npreds int) *exploration {
+	x := newExploration(c.prog, c.opts.ExactCover, c.opts.DFS)
+	root := absState{loc: c.prog.Funcs[c.prog.Main].Entry, vals: c.scratchVals(npreds)}
+	x.covered(&root)
+	kept := x.keep(&root)
+	if c.reachRoot != nil {
+		c.reachRoot(kept)
+	}
+	if c.keepExploration {
+		c.kept = x // the plant: the checker pins the exploration
+	}
+	return x
+}
+
+// expand computes st's successor along e and keeps it unless it is
+// abstractly infeasible or covered; it returns the post's work. Only a
+// successor the cover set does not cover gets a state of its own.
+func (c *Checker) expand(ctx context.Context, x *exploration, st *absState, e *cfa.Edge, preds []predicate) int {
+	succ, work, ok := c.post(ctx, st, e, preds)
+	if ok && !x.covered(&succ) {
+		x.keep(&succ)
+	}
+	return work
+}
+
+// scratchVals returns the post's valuation scratch, n unknowns long.
+func (c *Checker) scratchVals(n int) []int8 {
+	if cap(c.vals) < n {
+		c.vals = make([]int8, n)
+	}
+	c.vals = c.vals[:n]
+	clear(c.vals)
+	return c.vals
 }
 
 // postMemoEntry is one memoized abstract-post computation. vals pairs
@@ -761,6 +896,9 @@ type postMemoEntry struct {
 	pruned      bool
 	vals        []memoVal
 }
+
+// memoChunk is how many posts' values one chunk of memoVals holds.
+const memoChunk = 256
 
 // memoVal is one predicate's memoized successor value.
 type memoVal struct {
@@ -828,11 +966,18 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
 	return b
 }
 
-// post computes the abstract successor of st via edge e, or nil when
-// the edge is abstractly infeasible. The work counter counts logical
+// post computes the abstract successor of st via edge e; ok is false
+// when the edge is abstractly infeasible. The successor is returned by
+// value and is not yet kept: its valuation lives in the checker's
+// scratch (c.vals) and, on a call, its stack in c.stack, until
+// exploration.keep copies them. The work counter counts logical
 // solver queries — the same number whether they were answered from the
 // memo, the cache or the frame rule, so budgets behave identically
 // across configurations.
+//
+// The post runs in this order: the memo lookup, on an assume the prune
+// query, then each predicate's entailments; the cover check follows in
+// expand, before any successor is built.
 //
 // Each query is decided by three rules before the solver sees it. All
 // are exact whenever the source valuation is satisfiable, which holds
@@ -856,39 +1001,37 @@ func (c *Checker) memoKey(st *absState, e *cfa.Edge, preds []predicate) []byte {
 //     component at a time (decide), each through the solver cache on
 //     its own. A conjunction of parts that share no variable is Unsat
 //     exactly when one part is, and the post reads only Unsat.
-func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []predicate) (*absState, int) {
-	work := 0
+func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []predicate) (succ absState, work int, ok bool) {
 	mAbstractPosts.Inc()
 
 	switch e.Op.Kind {
 	case cfa.OpCall:
 		callee := c.prog.Funcs[e.Op.Callee]
 		if callee == nil {
-			return nil, work
+			return succ, work, false
 		}
-		succ := &absState{loc: callee.Entry, vals: st.vals, parent: st, via: e}
-		succ.stack = append(append([]*cfa.Edge{}, st.stack...), e)
-		return succ, work
+		c.stack = append(append(c.stack[:0], st.stack...), e)
+		return absState{loc: callee.Entry, stack: c.stack, vals: st.vals, parent: st, via: e}, work, true
 	case cfa.OpReturn:
 		if len(st.stack) == 0 {
-			return nil, work // program exit: never the target
+			return succ, work, false // program exit: never the target
 		}
-		resume := st.stack[len(st.stack)-1].Dst
-		succ := &absState{loc: resume, vals: st.vals, parent: st, via: e}
-		succ.stack = append([]*cfa.Edge{}, st.stack[:len(st.stack)-1]...)
-		return succ, work
+		n := len(st.stack) - 1
+		return absState{loc: st.stack[n].Dst, stack: st.stack[:n:n], vals: st.vals, parent: st, via: e}, work, true
 	}
 
 	var memo *postMemoEntry
 	if !c.opts.DisablePostMemo {
 		key := c.memoKey(st, e, preds)
-		var ok bool
-		if memo, ok = c.postMemo[string(key)]; ok {
+		i, ok := c.postMemo[string(key)]
+		if ok {
 			c.memoHits++
 		} else {
-			memo = &postMemoEntry{}
-			c.postMemo[string(key)] = memo
+			i = int32(len(c.memos))
+			c.postMemo[string(key)] = i
+			c.memos = append(c.memos, postMemoEntry{})
 		}
+		memo = &c.memos[i]
 	}
 
 	// The precondition is built on first use: a post the memo answers
@@ -912,11 +1055,11 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			if memo != nil {
 				memo.prunedKnown, memo.pruned = true, pruned
 			} else if pruned {
-				return nil, work
+				return succ, work, false
 			}
 		}
 		if memo != nil && memo.pruned {
-			return nil, work
+			return succ, work, false
 		}
 	}
 
@@ -963,7 +1106,7 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 		}
 		return 0
 	}
-	vals := make([]int8, len(preds))
+	vals := c.scratchVals(len(preds))
 	computed := c.computed[:0]
 	for i := range preds {
 		p := &preds[i]
@@ -983,14 +1126,16 @@ func (c *Checker) post(ctx context.Context, st *absState, e *cfa.Edge, preds []p
 			c.checkEntail(st, e, preds, i, vals[i])
 		}
 	}
-	if memo != nil && len(computed) > 0 {
+	switch {
+	case memo == nil || len(computed) == 0:
+	case len(memo.vals) == 0:
+		memo.vals = carve(&c.memoVals, computed, memoChunk)
+	default:
 		memo.vals = append(memo.vals, computed...)
 	}
 	c.computed = computed
 	mPostEntailsMax.SetMax(int64(len(computed)))
-	succ := &absState{loc: e.Dst, vals: vals, parent: st, via: e,
-		stack: st.stack}
-	return succ, work
+	return absState{loc: e.Dst, stack: st.stack, vals: vals, parent: st, via: e}, work, true
 }
 
 // undecided marks a precondition component whose status this post has

@@ -2,6 +2,9 @@ package cegar
 
 import (
 	"context"
+	"runtime"
+	"testing"
+	"weak"
 
 	"pathslice/internal/cfa"
 	"pathslice/internal/logic"
@@ -53,6 +56,59 @@ func PlantCopyUndetermined(c *Checker) { c.copyUndetermined = true }
 // entailment query Sat without deciding it.
 func PlantSkipLastComponent(c *Checker) { c.skipLastComponent = true }
 
+// PostProbe reports a repeated post: the objects one repetition
+// allocates, the memo hits of all of them and the states kept.
+type PostProbe struct {
+	Allocs   float64
+	MemoHits int64
+	Kept     int
+}
+
+// CoveredPostAllocs measures a post that the memo answers in full and
+// whose successor the cover set already covers. From a state at the
+// first assignment of the function main calls first, with that call on
+// its stack, the predicates fs and the valuation vals, it computes and
+// keeps the successor once, then repeats the same post under
+// testing.AllocsPerRun.
+func CoveredPostAllocs(c *Checker, fs []logic.Formula, vals []int8) PostProbe {
+	c.readyMemo()
+	preds := make([]predicate, len(fs))
+	for i, f := range fs {
+		preds[i] = c.newPredicate(f, f.String())
+	}
+	call := firstEdge(c.prog.Funcs[c.prog.Main], cfa.OpCall)
+	e := firstEdge(c.prog.Funcs[call.Op.Callee], cfa.OpAssign)
+	x := newExploration(c.prog, false, false)
+	src := absState{loc: e.Src, stack: []*cfa.Edge{call}, vals: vals}
+	x.covered(&src)
+	st := x.keep(&src)
+	ctx := context.Background()
+	c.expand(ctx, x, st, e, preds)
+	hits := c.memoHits
+	allocs := testing.AllocsPerRun(100, func() { c.expand(ctx, x, st, e, preds) })
+	kept := 0
+	for v := x.head; v != nil; v = v.queue {
+		kept++
+	}
+	return PostProbe{Allocs: allocs, MemoHits: c.memoHits - hits, Kept: kept}
+}
+
+// WatchReachRoots returns a probe of whether the root state of c's
+// latest reach is gone: it runs a GC and reads a weak pointer to it.
+func WatchReachRoots(c *Checker) (collected func() bool) {
+	var root weak.Pointer[absState]
+	c.reachRoot = func(st *absState) { root = weak.Make(st) }
+	return func() bool {
+		runtime.GC()
+		return root.Value() == nil
+	}
+}
+
+// PlantKeepExploration makes c keep its latest exploration, as a
+// checker that reused reach's cover set and chunks across reaches
+// would.
+func PlantKeepExploration(c *Checker) { c.keepExploration = true }
+
 // literals returns the source's determined literals.
 func literals(st *absState, preds []predicate) []logic.Formula {
 	var fs []logic.Formula
@@ -91,4 +147,14 @@ func fullEntailment(c *Checker, st *absState, e *cfa.Edge, preds []predicate, i 
 		return -1
 	}
 	return 0
+}
+
+// firstEdge returns fn's first edge of the given kind.
+func firstEdge(fn *cfa.CFA, kind cfa.OpKind) *cfa.Edge {
+	for _, e := range fn.Edges {
+		if e.Op.Kind == kind {
+			return e
+		}
+	}
+	return nil
 }

@@ -18,7 +18,9 @@
 // and response bodies are decoded strictly (unknown fields are an
 // error). A proxy that flips a byte therefore produces a retryable
 // typed error — never a silently altered verdict. cmd/chaossmoke
-// drives exactly that scenario through internal/faults' wire proxy.
+// drives exactly that scenario through internal/faults' wire proxy. A
+// body that matches its checksum but does not decode came from a
+// daemon of another API version: a permanent version_skew error.
 package client
 
 import (
@@ -315,7 +317,8 @@ func (c *Client) attempt(ctx context.Context, method, path, rid string, body []b
 	if err != nil {
 		return &Error{Kind: KindNetwork, Status: hresp.StatusCode, Message: "reading response: " + err.Error(), RequestID: rid}
 	}
-	if want := hresp.Header.Get("X-Checksum-SHA256"); want != "" {
+	want := hresp.Header.Get("X-Checksum-SHA256")
+	if want != "" {
 		sum := sha256.Sum256(raw)
 		if got := hex.EncodeToString(sum[:]); got != want {
 			mChecksum.Inc()
@@ -327,9 +330,15 @@ func (c *Client) attempt(ctx context.Context, method, path, rid string, body []b
 	}
 	if hresp.StatusCode == http.StatusOK {
 		if err := strictDecode(raw, resp); err != nil {
-			// An OK status with an undecodable body is transport
-			// damage (the server encodes wire types by construction).
-			return &Error{Kind: KindDecode, Status: hresp.StatusCode, Message: err.Error(), RequestID: rid, body: raw}
+			// Bytes that match their checksum arrived as the daemon
+			// sent them, so it speaks another wire version. Without a
+			// checksum the body may be damaged in transit (the server
+			// encodes wire types by construction): worth a retry.
+			kind := KindDecode
+			if want != "" {
+				kind = KindVersionSkew
+			}
+			return &Error{Kind: kind, Status: hresp.StatusCode, Message: err.Error(), RequestID: rid, body: raw}
 		}
 		return nil
 	}

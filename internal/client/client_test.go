@@ -187,6 +187,34 @@ func TestGarbageBodyRetries(t *testing.T) {
 	}
 }
 
+// TestVersionSkewDoesNotRetry: a 200 whose body matches its checksum
+// but carries a field this client's wire type lacks came from a daemon
+// of another API version. Retrying would re-run the request there and
+// fail the same way, so the call fails at once with a permanent error.
+func TestVersionSkewDoesNotRetry(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		writeBody(w, http.StatusOK, map[string]any{
+			"verdict": service.VerdictOK, "exit_code": 0, "field_from_a_newer_daemon": 1,
+		})
+	}))
+	defer srv.Close()
+
+	c := newClient(t, srv.URL, nil)
+	_, err := c.Check(context.Background(), &service.CheckRequest{Source: srcBug})
+	var e *Error
+	if !AsError(err, &e) {
+		t.Fatalf("err = %v, want a typed *Error", err)
+	}
+	if e.Kind != KindVersionSkew || e.Retryable() {
+		t.Errorf("kind %q retryable %v, want %q and not retryable", e.Kind, e.Retryable(), KindVersionSkew)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the daemon saw %d requests, want 1", n)
+	}
+}
+
 func TestHedgeWinsOverStalledPrimary(t *testing.T) {
 	var calls atomic.Int32
 	release := make(chan struct{})

@@ -24,6 +24,13 @@ const (
 	// decoding), with no checksum header to blame first — also
 	// transport damage. Retryable.
 	KindDecode = "decode"
+	// KindVersionSkew: a 200 whose body matched its X-Checksum-SHA256
+	// but does not strict-decode as the client's wire type, so the
+	// daemon sent it as it arrived: it speaks a different API version
+	// (say, a response field this client lacks). Not retryable — every
+	// retry would re-run the request on the daemon and fail the same
+	// way.
+	KindVersionSkew = "version_skew"
 	// KindInternal: a client-side failure (request encoding). Not
 	// retryable — retrying re-runs the same bug.
 	KindInternal = "internal"
@@ -72,12 +79,14 @@ func (e *Error) Error() string {
 
 // Retryable reports whether another attempt can succeed: transport
 // faults, corruption, load sheds, drains, and server 5xx. Permanent
-// kinds — malformed requests, invalid programs, bad credentials —
-// would fail identically forever.
+// kinds — malformed requests, invalid programs, bad credentials, a
+// daemon of another API version — would fail identically forever.
 func (e *Error) Retryable() bool {
 	switch e.Kind {
 	case KindNetwork, KindChecksum, KindDecode, KindOverloaded, KindDraining, KindIntegrity:
 		return true
+	case KindVersionSkew:
+		return false
 	case KindInternal:
 		// Server-side "internal" (a 500) is worth a retry; the
 		// client-side encoding failure (Status 0) is not.

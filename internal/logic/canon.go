@@ -18,83 +18,103 @@ import (
 // their "@k" SSA versions) are never renamed, so keys stay readable and
 // distinct program facts stay distinct.
 func Key(f Formula) string {
-	c := canonizer{names: make(map[string]string)}
-	var b strings.Builder
-	b.Grow(64) // one allocation up to 64 bytes, not a doubling series from 8
-	c.formula(&b, f)
-	return b.String()
+	var k Keyer
+	return string(k.Key(f))
 }
 
-type canonizer struct {
-	names map[string]string // fresh-variable name → canonical name
+// Keyer serializes formulas into Key's bytes, reusing its buffer and
+// its map of fresh names from call to call, so a Keyer that has served
+// formulas of a given size serializes the next one without allocating.
+// A Keyer is not safe for concurrent use.
+type Keyer struct {
+	buf   []byte
+	fresh map[string]int // "$" name → its first-occurrence index
 }
 
-func (c *canonizer) name(v string) string {
+// freshKeep bounds the fresh names a Keyer's map keeps room for: a map
+// that served a trace formula with thousands is dropped rather than
+// cleared at that size on every later call.
+const freshKeep = 64
+
+// Key returns Key(f) as bytes. The bytes alias the Keyer's buffer and
+// stay valid until its next call.
+func (k *Keyer) Key(f Formula) []byte {
+	if k.buf == nil {
+		k.buf = make([]byte, 0, 64)
+	}
+	if k.fresh == nil || len(k.fresh) > freshKeep {
+		k.fresh = make(map[string]int)
+	} else {
+		clear(k.fresh)
+	}
+	k.buf = k.buf[:0]
+	k.formula(f)
+	return k.buf
+}
+
+func (k *Keyer) name(v string) {
 	if !strings.HasPrefix(v, "$") {
-		return v
-	}
-	r, ok := c.names[v]
-	if !ok {
-		r = "$k" + strconv.Itoa(len(c.names))
-		c.names[v] = r
-	}
-	return r
-}
-
-func (c *canonizer) term(b *strings.Builder, t Term) {
-	switch t := t.(type) {
-	case Const:
-		b.WriteString(strconv.FormatInt(t.V, 10))
-	case Var:
-		b.WriteString(c.name(t.Name))
-	case Bin:
-		b.WriteByte('(')
-		c.term(b, t.X)
-		b.WriteByte(' ')
-		b.WriteString(t.Op.String())
-		b.WriteByte(' ')
-		c.term(b, t.Y)
-		b.WriteByte(')')
-	case Neg:
-		b.WriteString("(-")
-		c.term(b, t.X)
-		b.WriteByte(')')
-	}
-}
-
-func (c *canonizer) formula(b *strings.Builder, f Formula) {
-	switch f := f.(type) {
-	case Bool:
-		b.WriteString(f.String())
-	case Cmp:
-		b.WriteByte('(')
-		c.term(b, f.X)
-		b.WriteByte(' ')
-		b.WriteString(f.Op.String())
-		b.WriteByte(' ')
-		c.term(b, f.Y)
-		b.WriteByte(')')
-	case Not:
-		b.WriteByte('!')
-		c.formula(b, f.F)
-	case And:
-		c.join(b, f.Fs, " && ", "true")
-	case Or:
-		c.join(b, f.Fs, " || ", "false")
-	}
-}
-
-func (c *canonizer) join(b *strings.Builder, fs []Formula, sep, empty string) {
-	if len(fs) == 0 {
-		b.WriteString(empty)
+		k.buf = append(k.buf, v...)
 		return
 	}
-	b.WriteByte('(')
+	i, ok := k.fresh[v]
+	if !ok {
+		i = len(k.fresh)
+		k.fresh[v] = i
+	}
+	k.buf = strconv.AppendInt(append(k.buf, "$k"...), int64(i), 10)
+}
+
+func (k *Keyer) term(t Term) {
+	switch t := t.(type) {
+	case Const:
+		k.buf = strconv.AppendInt(k.buf, t.V, 10)
+	case Var:
+		k.name(t.Name)
+	case Bin:
+		k.buf = append(k.buf, '(')
+		k.term(t.X)
+		k.buf = append(append(append(k.buf, ' '), t.Op.String()...), ' ')
+		k.term(t.Y)
+		k.buf = append(k.buf, ')')
+	case Neg:
+		k.buf = append(k.buf, "(-"...)
+		k.term(t.X)
+		k.buf = append(k.buf, ')')
+	}
+}
+
+func (k *Keyer) formula(f Formula) {
+	switch f := f.(type) {
+	case Bool:
+		k.buf = append(k.buf, f.String()...)
+	case Cmp:
+		k.buf = append(k.buf, '(')
+		k.term(f.X)
+		k.buf = append(append(append(k.buf, ' '), f.Op.String()...), ' ')
+		k.term(f.Y)
+		k.buf = append(k.buf, ')')
+	case Not:
+		k.buf = append(k.buf, '!')
+		k.formula(f.F)
+	case And:
+		k.join(f.Fs, " && ", "true")
+	case Or:
+		k.join(f.Fs, " || ", "false")
+	}
+}
+
+func (k *Keyer) join(fs []Formula, sep, empty string) {
+	if len(fs) == 0 {
+		k.buf = append(k.buf, empty...)
+		return
+	}
+	k.buf = append(k.buf, '(')
 	for i, f := range fs {
 		if i > 0 {
-			b.WriteString(sep)
+			k.buf = append(k.buf, sep...)
 		}
-		c.formula(b, f)
+		k.formula(f)
 	}
-	b.WriteByte(')')
+	k.buf = append(k.buf, ')')
 }

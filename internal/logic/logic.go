@@ -206,26 +206,44 @@ func joinFormulas(fs []Formula, sep, empty string) string {
 }
 
 // MkAnd builds a conjunction, flattening nested Ands and dropping
-// trivially-true conjuncts; it short-circuits on false.
+// trivially-true conjuncts; it short-circuits on false. It allocates
+// only for a new conjunction of two or more conjuncts: a result of at
+// most one conjunct, and a single And argument (flattening one level
+// leaves it as it is), come back without allocating.
 func MkAnd(fs ...Formula) Formula {
-	var out []Formula
+	n := 0
+	var one Formula
 	for _, f := range fs {
-		switch f := f.(type) {
+		switch g := f.(type) {
 		case Bool:
-			if !f.V {
+			if !g.V {
 				return False
 			}
 		case And:
-			out = append(out, f.Fs...)
+			if len(g.Fs) > 0 {
+				n, one = n+len(g.Fs), g.Fs[0]
+			}
+		default:
+			n, one = n+1, f
+		}
+	}
+	switch {
+	case n == 0:
+		return True
+	case n == 1:
+		return one
+	case len(fs) == 1:
+		return fs[0]
+	}
+	out := make([]Formula, 0, n)
+	for _, f := range fs {
+		switch g := f.(type) {
+		case Bool:
+		case And:
+			out = append(out, g.Fs...)
 		default:
 			out = append(out, f)
 		}
-	}
-	switch len(out) {
-	case 0:
-		return True
-	case 1:
-		return out[0]
 	}
 	return And{Fs: out}
 }
@@ -359,6 +377,78 @@ func Subst(f Formula, sub map[string]Term) Formula {
 		return Or{Fs: out}
 	}
 	return f
+}
+
+// Subst1 is Subst with the one-entry map {name: t}, built without the
+// map: it returns f itself when name does not occur in f, and otherwise
+// shares every subformula and subterm the substitution leaves
+// unchanged. The result is structurally Equal to Subst's.
+func Subst1(f Formula, name string, t Term) Formula {
+	g, _ := subst1(f, name, t)
+	return g
+}
+
+// subst1 returns Subst1(f, name, t) and whether it differs from f.
+func subst1(f Formula, name string, t Term) (Formula, bool) {
+	switch g := f.(type) {
+	case Cmp:
+		x, cx := substTerm1(g.X, name, t)
+		y, cy := substTerm1(g.Y, name, t)
+		if cx || cy {
+			return Cmp{Op: g.Op, X: x, Y: y}, true
+		}
+	case Not:
+		if h, ch := subst1(g.F, name, t); ch {
+			return Not{F: h}, true
+		}
+	case And:
+		if fs, ch := substAll1(g.Fs, name, t); ch {
+			return And{Fs: fs}, true
+		}
+	case Or:
+		if fs, ch := substAll1(g.Fs, name, t); ch {
+			return Or{Fs: fs}, true
+		}
+	}
+	return f, false
+}
+
+// substAll1 substitutes into each of fs, copying the slice only once
+// an element changes.
+func substAll1(fs []Formula, name string, t Term) ([]Formula, bool) {
+	var out []Formula
+	for i, f := range fs {
+		g, ch := subst1(f, name, t)
+		if ch && out == nil {
+			out = make([]Formula, len(fs))
+			copy(out, fs[:i])
+		}
+		if out != nil {
+			out[i] = g
+		}
+	}
+	return out, out != nil
+}
+
+// substTerm1 is substTerm under {name: t}, reporting whether u changed.
+func substTerm1(u Term, name string, t Term) (Term, bool) {
+	switch v := u.(type) {
+	case Var:
+		if v.Name == name {
+			return t, true
+		}
+	case Bin:
+		x, cx := substTerm1(v.X, name, t)
+		y, cy := substTerm1(v.Y, name, t)
+		if cx || cy {
+			return Bin{Op: v.Op, X: x, Y: y}, true
+		}
+	case Neg:
+		if x, ch := substTerm1(v.X, name, t); ch {
+			return Neg{X: x}, true
+		}
+	}
+	return u, false
 }
 
 // NNF converts f to negation normal form: negations appear only on

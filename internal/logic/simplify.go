@@ -18,7 +18,7 @@ func Simplify(f Formula) Formula {
 				return Bool{V: evalCmp(f.Op, cx.V, cy.V)}
 			}
 		}
-		if x.String() == y.String() {
+		if EqualTerms(x, y) {
 			switch f.Op {
 			case CmpEq, CmpLe, CmpGe:
 				return True
@@ -106,7 +106,7 @@ func SimplifyTerm(t Term) Term {
 			if yConst && cy.V == 0 {
 				return x
 			}
-			if x.String() == y.String() {
+			if EqualTerms(x, y) {
 				return Const{V: 0}
 			}
 		case OpMul:

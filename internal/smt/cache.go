@@ -3,7 +3,6 @@ package smt
 import (
 	"container/list"
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -18,7 +17,8 @@ const DefaultCacheSize = 1 << 16
 // Cache memoizes definitive solver verdicts across queries. Keys are
 // canonical serializations (logic.Key), so two queries that differ only
 // in the fresh-variable counter they were generated under share one
-// entry. Only Sat and Unsat verdicts are stored: they are
+// entry. A lookup serializes into a pooled buffer and allocates
+// nothing; a key string is made only to store a new entry. Only Sat and Unsat verdicts are stored: they are
 // limit-independent (Unsat verdicts are exact, Sat verdicts carry a
 // validated model), whereas Unknown depends on the Limits in force and
 // must be re-derived. A hit returns the verdict without a model — the
@@ -75,10 +75,17 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-func (c *Cache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
+// keyers holds the buffers lookups serialize keys into; the cache is
+// shared across goroutines (slicerd sessions, parallel checks).
+var keyers = sync.Pool{New: func() any { return new(logic.Keyer) }}
+
+// shard picks key's shard by its 32-bit FNV-1a hash.
+func shard[K string | []byte](c *Cache, key K) *cacheShard {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // SolveCtx decides f under ctx and explicit limits, consulting and
@@ -90,7 +97,8 @@ func (c *Cache) shard(key string) *cacheShard {
 // returned regardless of lim: they are definitive for any limit
 // setting.
 func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Result {
-	key := logic.Key(f)
+	k := keyers.Get().(*logic.Keyer)
+	key := k.Key(f)
 	// Fault injection (docs/ROBUSTNESS.md): drop the entry before the
 	// lookup, forcing a re-solve through the concurrent-eviction path.
 	// Harmless for correctness — only Sat/Unsat verdicts are cached
@@ -98,21 +106,27 @@ func (c *Cache) SolveCtx(ctx context.Context, f logic.Formula, lim Limits) Resul
 	if faults.Should(faults.CacheEvict) {
 		c.evict(key)
 	}
-	if st, ok := c.peek(key); ok {
+	st, ok := c.peek(key)
+	var stored string
+	if !ok {
+		stored = string(key)
+	}
+	keyers.Put(k)
+	if ok {
 		return Result{Status: st}
 	}
 	r := SolveCtx(ctx, f, lim)
 	if r.Status != StatusUnknown {
-		c.store(key, r.Status)
+		c.store(stored, r.Status)
 	}
 	return r
 }
 
 // peek looks key up, counting a hit or a miss.
-func (c *Cache) peek(key string) (Status, bool) {
-	sh := c.shard(key)
+func (c *Cache) peek(key []byte) (Status, bool) {
+	sh := shard(c, key)
 	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
+	if el, ok := sh.m[string(key)]; ok {
 		sh.order.MoveToFront(el)
 		st := el.Value.(*cacheEntry).st
 		sh.mu.Unlock()
@@ -127,30 +141,33 @@ func (c *Cache) peek(key string) (Status, bool) {
 }
 
 // store inserts a definitive verdict (callers must not pass Unknown),
-// evicting the shard's LRU entry when over capacity.
-func (c *Cache) store(key string, st Status) {
-	sh := c.shard(key)
+// evicting the shard's LRU entry when over capacity. It reports
+// whether key was new.
+func (c *Cache) store(key string, st Status) bool {
+	sh := shard(c, key)
 	sh.mu.Lock()
-	if _, ok := sh.m[key]; !ok {
-		sh.m[key] = sh.order.PushFront(&cacheEntry{key: key, st: st})
-		if sh.order.Len() > c.perShard {
-			oldest := sh.order.Back()
-			sh.order.Remove(oldest)
-			delete(sh.m, oldest.Value.(*cacheEntry).key)
-			c.evictions.Add(1)
-			mCacheEvictions.Inc()
-		}
+	defer sh.mu.Unlock()
+	if _, ok := sh.m[key]; ok {
+		return false
 	}
-	sh.mu.Unlock()
+	sh.m[key] = sh.order.PushFront(&cacheEntry{key: key, st: st})
+	if sh.order.Len() > c.perShard {
+		oldest := sh.order.Back()
+		sh.order.Remove(oldest)
+		delete(sh.m, oldest.Value.(*cacheEntry).key)
+		c.evictions.Add(1)
+		mCacheEvictions.Inc()
+	}
+	return true
 }
 
 // evict drops key if present (the CacheEvict fault path).
-func (c *Cache) evict(key string) {
-	sh := c.shard(key)
+func (c *Cache) evict(key []byte) {
+	sh := shard(c, key)
 	sh.mu.Lock()
-	if el, ok := sh.m[key]; ok {
+	if el, ok := sh.m[string(key)]; ok {
 		sh.order.Remove(el)
-		delete(sh.m, key)
+		delete(sh.m, el.Value.(*cacheEntry).key)
 		c.evictions.Add(1)
 		mCacheEvictions.Inc()
 	}
@@ -200,20 +217,9 @@ func (c *Cache) Restore(entries []CacheEntry) int {
 		if e.Sat {
 			st = StatusSat
 		}
-		sh := c.shard(e.Key)
-		sh.mu.Lock()
-		if _, ok := sh.m[e.Key]; !ok {
-			sh.m[e.Key] = sh.order.PushFront(&cacheEntry{key: e.Key, st: st})
-			if sh.order.Len() > c.perShard {
-				oldest := sh.order.Back()
-				sh.order.Remove(oldest)
-				delete(sh.m, oldest.Value.(*cacheEntry).key)
-				c.evictions.Add(1)
-				mCacheEvictions.Inc()
-			}
+		if c.store(e.Key, st) {
 			restored++
 		}
-		sh.mu.Unlock()
 	}
 	return restored
 }

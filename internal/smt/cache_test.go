@@ -58,6 +58,30 @@ func TestCacheHitsAcrossFreshRenaming(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocatesNothing: a lookup serializes its key into a
+// pooled buffer and finds the entry by those bytes, so a hit allocates
+// nothing; only a miss makes the key string it stores.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	ctx := context.Background()
+	c := NewCache(0)
+	f := logic.MkAnd(unsatFormula("$f17"),
+		logic.MkOr(satFormula("x@3"), logic.MkNot(satFormula("$in2"))),
+		logic.Cmp{Op: logic.CmpLe, X: logic.Neg{X: logic.Var{Name: "$f17"}}, Y: logic.Bin{Op: logic.OpMul, X: logic.Const{V: -3}, Y: logic.Var{Name: "y"}}})
+	if r := c.SolveCtx(ctx, f, Limits{}); r.Status != StatusUnsat {
+		t.Fatalf("status: %v", r.Status)
+	}
+	allocs := testing.AllocsPerRun(100, func() { c.SolveCtx(ctx, f, Limits{}) })
+	if st := c.Stats(); st.Hits != 101 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 101 hits and 1 miss", st)
+	}
+	if allocs != 0 {
+		t.Errorf("a cache hit allocated %.1f objects, want 0", allocs)
+	}
+}
+
 func TestCacheHitOmitsModel(t *testing.T) {
 	ctx := context.Background()
 	c := NewCache(0)

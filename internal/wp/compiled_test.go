@@ -18,13 +18,20 @@ import (
 )
 
 // freshOpsSource reaches every conversion that mints fresh names: a
-// nondet() read, a boolean-valued right-hand side, a read through a
-// two-target pointer, and stores through one- and two-target pointers.
+// nondet() read, ten of them (numbered in name order, $in10 before
+// $in2), one that a false conjunct drops (it takes no number), a
+// boolean-valued right-hand side (one also reads nondet(), so its
+// right-hand side and its side constraints mention different inputs,
+// which are numbered in that order), a read through a two-target
+// pointer, and stores through one- and two-target pointers.
 const freshOpsSource = `
 	int a; int b; int c; int *p; int *q;
 	void main() {
 		a = nondet();
+		b = nondet() + nondet() + nondet() + nondet() + nondet() + nondet() + nondet() + nondet() + nondet() + nondet();
 		b = (a < c);
+		c = (nondet() < b);
+		if (0 && nondet() > 0) { c = 1; }
 		p = &a;
 		if (nondet() > 0) { q = &a; } else { q = &b; }
 		c = *q;
@@ -151,4 +158,47 @@ func TestCompiledOpMatchesPerCallConversion(t *testing.T) {
 		t.Fatal("a compiled form that skips the renaming went unnoticed")
 	}
 	t.Logf("the planted form differs in %d applications, first %s", planted, first)
+}
+
+// TestCompiledAssignSharesUntouchedPredicate: the WP of an assignment
+// to a variable the predicate does not mention is the predicate itself,
+// built without allocating; the frame rule then compares the predicate
+// with itself.
+func TestCompiledAssignSharesUntouchedPredicate(t *testing.T) {
+	prog := compile.MustSource(`
+		int x; int y; int z;
+		void main() {
+			x = y + 1;
+			if (y > z) { error; }
+		}`)
+	var op *wp.CompiledOp
+	for _, e := range prog.Funcs[prog.Main].Edges {
+		if e.Op.Kind == cfa.OpAssign && e.Op.LHS.Var == "x" {
+			op = wp.CompileOp(e.Op, alias.Analyze(prog), wp.NewAddrMap(prog))
+		}
+	}
+	if op == nil {
+		t.Fatal("no assignment to x")
+	}
+	y, z := logic.Var{Name: "y"}, logic.Var{Name: "z"}
+	atom := logic.Formula(logic.Cmp{Op: logic.CmpGt, X: y, Y: z})
+	conj := logic.MkAnd(atom, logic.MkOr(logic.Cmp{Op: logic.CmpEq, X: y, Y: logic.Const{V: 2}},
+		logic.MkNot(logic.Cmp{Op: logic.CmpLt, X: logic.Bin{Op: logic.OpAdd, X: z, Y: y}, Y: logic.Const{V: 0}})))
+	for _, p := range []logic.Formula{atom, conj} {
+		var got logic.Formula
+		allocs := testing.AllocsPerRun(100, func() {
+			fresh := 4096
+			got = op.WP(p, &fresh)
+		})
+		if !logic.Equal(got, p) {
+			t.Errorf("WP(%s) = %s, want the predicate itself", p, got)
+		}
+		if allocs != 0 {
+			t.Errorf("WP(%s) allocated %.1f objects, want 0", p, allocs)
+		}
+	}
+	fresh := 0
+	if got := op.WP(atom, &fresh); got != atom {
+		t.Errorf("WP(%s) = %s is not the predicate's own value", atom, got)
+	}
 }

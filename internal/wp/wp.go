@@ -14,7 +14,6 @@
 package wp
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -108,7 +107,10 @@ type TraceEncoder struct {
 	alias   *alias.Info
 	addrs   *AddrMap
 	version map[string]int
-	inputs  int
+	// plain names variables without SSA versions: CompileOp converts
+	// one operation over plain names, and never advances a version.
+	plain  bool
+	inputs int
 	// nondet records the SSA input names allocated for ast.Nondet
 	// occurrences, in allocation (= evaluation) order. The concrete
 	// oracle (internal/oracle) projects a solver model onto this list
@@ -125,11 +127,15 @@ func NewTraceEncoder(prog *cfa.Program, al *alias.Info, addrs *AddrMap) *TraceEn
 
 // ssaName renders the SSA instance of a variable at a version.
 func ssaName(name string, version int) string {
-	return fmt.Sprintf("%s@%d", name, version)
+	return name + "@" + strconv.Itoa(version)
 }
 
-// cur returns the current SSA term for a variable.
+// cur returns the current SSA term for a variable, or its plain name
+// when the encoder converts for CompileOp.
 func (e *TraceEncoder) cur(name string) logic.Term {
+	if e.plain {
+		return logic.Var{Name: name}
+	}
 	return logic.Var{Name: ssaName(name, e.version[name])}
 }
 
@@ -145,7 +151,7 @@ func (e *TraceEncoder) next(name string) logic.Term {
 // input draws — see freshNondet.
 func (e *TraceEncoder) freshInput() logic.Term {
 	e.inputs++
-	return logic.Var{Name: fmt.Sprintf("$in%d", e.inputs)}
+	return logic.Var{Name: "$in" + strconv.Itoa(e.inputs)}
 }
 
 // freshNondet allocates a fresh input for an ast.Nondet occurrence and
@@ -409,7 +415,9 @@ func WPOp(phi logic.Formula, op cfa.Op, al *alias.Info, addrs *AddrMap, freshID 
 // reification side constraints, and the variables an assignment
 // writes. The conversion ran with the fresh counter at 0, so its fresh
 // variables are $f1…$fN; WP renames them to the names a conversion at
-// the caller's counter would have minted.
+// the caller's counter would have minted. WP shares every subformula
+// of φ that the operation leaves unchanged, and returns φ itself for an
+// assignment to a variable φ does not mention.
 type CompiledOp struct {
 	kind  cfa.OpKind
 	pred  logic.Formula   // OpAssume
@@ -426,11 +434,22 @@ type CompiledOp struct {
 // panics on a variable the address map lacks (see MustAddr).
 func CompileOp(op cfa.Op, al *alias.Info, addrs *AddrMap) *CompiledOp {
 	c := &CompiledOp{kind: op.Kind}
+	enc := &TraceEncoder{alias: al, addrs: addrs, plain: true}
 	switch op.Kind {
 	case cfa.OpAssume:
-		c.pred, c.side = predNoSSA(op.Pred, al, addrs, &c.fresh)
+		c.pred, c.side = enc.pred(op.Pred)
+		if enc.inputs > 0 {
+			sub := c.numberInputs(varSet(append([]logic.Formula{c.pred}, c.side...)))
+			c.pred, c.side = logic.Subst(c.pred, sub), substAll(c.side, sub)
+		}
 	case cfa.OpAssign:
-		c.rhs, c.side = termNoSSA(op.RHS, al, addrs, &c.fresh)
+		c.rhs, c.side = enc.term(op.RHS)
+		if enc.inputs > 0 {
+			rhsVars := make(map[string]struct{})
+			logic.TermVars(c.rhs, rhsVars)
+			sub := c.numberInputs(rhsVars, varSet(c.side))
+			c.rhs, c.side = logic.SubstTerm(c.rhs, sub), substAll(c.side, sub)
+		}
 		c.target = op.LHS.Var
 		if op.LHS.Deref {
 			// Store through a pointer. With a singleton points-to set
@@ -446,6 +465,54 @@ func CompileOp(op cfa.Op, al *alias.Info, addrs *AddrMap) *CompiledOp {
 		}
 	}
 	return c
+}
+
+// numberInputs maps the $in inputs a plain conversion minted, and that
+// its result still mentions, to the fresh names $f1…$fN, counting them
+// in c.fresh: the inputs among each group of names in sorted order,
+// after those of the groups before it. An assume has one group, the
+// names of its predicate and side constraints; an assignment those of
+// its right-hand side, then those of its side constraints. In this
+// order every compiled formula equals, string for string, a conversion
+// through the SSA trace encoder (TestCompiledOpMatchesPerCallConversion),
+// so solver-cache keys, and the snapshots that persist them, stay
+// valid.
+func (c *CompiledOp) numberInputs(groups ...map[string]struct{}) map[string]logic.Term {
+	sub := make(map[string]logic.Term)
+	for _, names := range groups {
+		ins := make([]string, 0, len(names))
+		for name := range names {
+			if _, done := sub[name]; !done && strings.HasPrefix(name, "$in") {
+				ins = append(ins, name)
+			}
+		}
+		sort.Strings(ins)
+		for _, name := range ins {
+			c.fresh++
+			sub[name] = logic.Var{Name: freshName(c.fresh)}
+		}
+	}
+	return sub
+}
+
+// varSet returns the variables of fs.
+func varSet(fs []logic.Formula) map[string]struct{} {
+	names := make(map[string]struct{})
+	for _, f := range fs {
+		for _, v := range logic.Vars(f) {
+			names[v] = struct{}{}
+		}
+	}
+	return names
+}
+
+// substAll applies sub to each of fs.
+func substAll(fs []logic.Formula, sub map[string]logic.Term) []logic.Formula {
+	out := make([]logic.Formula, len(fs))
+	for i, f := range fs {
+		out[i] = logic.Subst(f, sub)
+	}
+	return out
 }
 
 // WP returns WP.φ.op exactly as a conversion of op at *freshID would
@@ -477,23 +544,26 @@ func (c *CompiledOp) WP(phi logic.Formula, freshID *int) logic.Formula {
 		return conj(side, pred, phi)
 	}
 	if c.target != "" {
-		return conj(side, logic.Subst(phi, map[string]logic.Term{c.target: rhs}))
+		return conj(side, logic.Subst1(phi, c.target, rhs))
 	}
 	sub := make(map[string]logic.Term, len(c.havoc))
 	for _, x := range c.havoc {
 		*freshID++
-		sub[x] = logic.Var{Name: fmt.Sprintf("$h%d", *freshID)}
+		sub[x] = logic.Var{Name: "$h" + strconv.Itoa(*freshID)}
 	}
 	return conj(side, logic.Subst(phi, sub))
 }
 
-// conj is logic.MkAnd(side..., rest...), leaving side's array alone.
+// conj is logic.MkAnd(side..., rest...). The concatenation lives on
+// the stack for the usual handful of conjuncts, so the conjunction's
+// own slice is its one allocation, and a single conjunct (an
+// assignment without side constraints) allocates nothing.
 func conj(side []logic.Formula, rest ...logic.Formula) logic.Formula {
 	if len(side) == 0 {
 		return logic.MkAnd(rest...)
 	}
-	fs := make([]logic.Formula, 0, len(side)+len(rest))
-	return logic.MkAnd(append(append(fs, side...), rest...)...)
+	var buf [8]logic.Formula
+	return logic.MkAnd(append(append(buf[:0], side...), rest...)...)
 }
 
 // freshName is the name of the n-th fresh variable of a conversion.
@@ -507,90 +577,4 @@ func WPTrace(phi logic.Formula, ops []cfa.Op, al *alias.Info, addrs *AddrMap) lo
 		phi = WPOp(phi, ops[i], al, addrs, &fresh)
 	}
 	return phi
-}
-
-// predNoSSA converts a predicate over plain (non-SSA) variable names.
-// Fresh variables ($in from nondet or boolean reification) are renamed
-// through freshID so distinct operations never share them.
-func predNoSSA(expr ast.Expr, al *alias.Info, addrs *AddrMap, freshID *int) (logic.Formula, []logic.Formula) {
-	enc := &TraceEncoder{alias: al, addrs: addrs, version: map[string]int{}}
-	f, side := enc.pred(expr)
-	sub := stripSubst(append([]logic.Formula{f}, side...), freshID)
-	out := make([]logic.Formula, len(side))
-	for i, s := range side {
-		out[i] = logic.Subst(s, sub)
-	}
-	return logic.Subst(f, sub), out
-}
-
-// termNoSSA converts an expression over plain variable names.
-func termNoSSA(expr ast.Expr, al *alias.Info, addrs *AddrMap, freshID *int) (logic.Term, []logic.Formula) {
-	enc := &TraceEncoder{alias: al, addrs: addrs, version: map[string]int{}}
-	t, side := enc.term(expr)
-	vars := make(map[string]struct{})
-	logic.TermVars(t, vars)
-	fs := make([]logic.Formula, 0, len(side)+1)
-	fs = append(fs, side...)
-	sub := stripSubstNames(vars, freshID)
-	addSubstFromFormulas(fs, sub, freshID)
-	out := make([]logic.Formula, len(side))
-	for i, s := range side {
-		out[i] = logic.Subst(s, sub)
-	}
-	return logic.SubstTerm(t, sub), out
-}
-
-// stripSubst builds a substitution that removes "@0" SSA suffixes and
-// uniquifies fresh "$in" variables across calls.
-func stripSubst(fs []logic.Formula, freshID *int) map[string]logic.Term {
-	sub := make(map[string]logic.Term)
-	addSubstFromFormulas(fs, sub, freshID)
-	return sub
-}
-
-func addSubstFromFormulas(fs []logic.Formula, sub map[string]logic.Term, freshID *int) {
-	names := make(map[string]struct{})
-	for _, f := range fs {
-		for _, v := range logic.Vars(f) {
-			names[v] = struct{}{}
-		}
-	}
-	// Sorted iteration: freshID is consumed per name, so the order
-	// decides which $f number each variable gets. Keeping it
-	// deterministic keeps the emitted formulas — and hence the solver
-	// cache keys — identical across runs.
-	for _, name := range sortedNames(names) {
-		addStrip(name, sub, freshID)
-	}
-}
-
-func stripSubstNames(names map[string]struct{}, freshID *int) map[string]logic.Term {
-	sub := make(map[string]logic.Term)
-	for _, name := range sortedNames(names) {
-		addStrip(name, sub, freshID)
-	}
-	return sub
-}
-
-func sortedNames(names map[string]struct{}) []string {
-	out := make([]string, 0, len(names))
-	for name := range names {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func addStrip(name string, sub map[string]logic.Term, freshID *int) {
-	if _, done := sub[name]; done {
-		return
-	}
-	if base, ok := strings.CutSuffix(name, "@0"); ok {
-		sub[name] = logic.Var{Name: base}
-		return
-	}
-	if strings.HasPrefix(name, "$in") {
-		*freshID++
-		sub[name] = logic.Var{Name: freshName(*freshID)}
-	}
 }
