@@ -44,7 +44,8 @@ perfbench:
 # solver's exact number type at the int64 word boundary, its grouped
 # unsat-core filter against the plain one, the cache key, one-variable
 # substitution and conjunction builder of package logic against the
-# code they replaced, and the PSTRC02 concurrent-trace decoder);
+# code they replaced, refinement's orientation of a mined atom and its
+# negation, and the PSTRC02 concurrent-trace decoder);
 # `make FUZZTIME=5m fuzz` digs deeper.
 FUZZTIME ?= 10s
 fuzz:
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzNum -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/smt/ -run '^$$' -fuzz FuzzUnsatCore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzKeySubst1 -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cegar/ -run '^$$' -fuzz FuzzOrient -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cfa/ -run '^$$' -fuzz FuzzConcurrentTrace -fuzztime $(FUZZTIME)
 
 # Differential/metamorphic oracle campaign over generated programs

@@ -113,9 +113,9 @@ func table1Gates(t *testing.T, mod func(*cegar.Options)) []gate {
 		}
 	}
 	return []gate{
-		{"table1 solver calls", calls, 1318},
-		{"table1 solver-cache lookups", lookups, 7430},
-		{"table1 work", work, 80790},
+		{"table1 solver calls", calls, 930},
+		{"table1 solver-cache lookups", lookups, 1836},
+		{"table1 work", work, 20660},
 	}
 }
 
@@ -149,7 +149,7 @@ func TestPerformanceGates(t *testing.T) {
 		pivots := reg.Counter("smt_simplex_pivots_total")
 		before := pivots.Value()
 		gates := table1Gates(t, nil)
-		report(t, append(gates, gate{"table1 simplex pivots", pivots.Value() - before, 5287}))
+		report(t, append(gates, gate{"table1 simplex pivots", pivots.Value() - before, 4177}))
 	})
 
 	// Turning the abstract-post memo off moves neither solver calls

@@ -309,7 +309,11 @@ type Checker struct {
 	// each entailment query Sat without deciding it. reachRoot observes
 	// each reach's root state, and keepExploration plants the retention
 	// a long-lived checker must not have: it keeps the last exploration
-	// in kept.
+	// in kept. onRefine observes each refinement (whether it mined an
+	// unsat core, the variables its mined core atoms name, its slice and
+	// the predicate list after it), refineUnknown makes each refinement
+	// solve answer Unknown, and eagerConstants plants the constant pass
+	// that ignores the core.
 	checkEntail       func(st *absState, e *cfa.Edge, preds []predicate, i int, got int8)
 	checkPrune        func(st *absState, e *cfa.Edge, preds []predicate, pruned bool)
 	dropConnected     bool
@@ -319,6 +323,9 @@ type Checker struct {
 	reachRoot         func(root *absState)
 	keepExploration   bool
 	kept              *exploration
+	onRefine          func(fromCore bool, named map[string]struct{}, slice cfa.Path, preds []predicate)
+	refineUnknown     bool
+	eagerConstants    bool
 }
 
 // New builds a checker for prog.
@@ -749,7 +756,7 @@ type predicate struct {
 	f, neg logic.Formula
 	id     uint32
 	vars   []int32
-	scope  []string
+	scope  []*cfa.CFA
 }
 
 func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
@@ -762,10 +769,10 @@ func (c *Checker) newPredicate(f logic.Formula, key string) predicate {
 	for _, v := range logic.Vars(f) {
 		p.vars = append(p.vars, c.varNum(v))
 		fn := c.prog.FuncOf(v)
-		if fn == nil || cfa.IsTransferVar(v) || slices.Contains(p.scope, fn.Name) {
+		if fn == nil || cfa.IsTransferVar(v) || slices.Contains(p.scope, fn) {
 			continue
 		}
-		p.scope = append(p.scope, fn.Name)
+		p.scope = append(p.scope, fn)
 	}
 	return p
 }
@@ -1468,13 +1475,13 @@ func conjunction(fs []logic.Formula) logic.Formula {
 // locals the predicate mentions must be the current function or on the
 // stack. Global-only predicates are always in scope.
 func predInScope(p *predicate, loc *cfa.Loc, stack []*cfa.Edge) bool {
-	for _, name := range p.scope {
-		if loc.Fn.Name == name {
+	for _, fn := range p.scope {
+		if loc.Fn == fn {
 			continue
 		}
 		onStack := false
 		for _, call := range stack {
-			if call.Src.Fn.Name == name {
+			if call.Src.Fn == fn {
 				onStack = true
 				break
 			}
@@ -1535,16 +1542,32 @@ func extractPath(st *absState) cfa.Path {
 // ---------------------------------------------------------------------------
 // Refinement
 
-// refine mines new predicates from the atoms of the infeasible slice's
-// trace formula, mapped back to unversioned program variables ("the
-// refinement algorithm analyzes the output of the path slicer to find
-// why a path is infeasible" — §1, after [16]).
+// refine mines new predicates from the infeasible slice's refutation
+// ("the refinement algorithm analyzes the output of the path slicer to
+// find why a path is infeasible" — §1, after [16]). It adds two kinds:
+//
+//  1. The atoms of a minimized unsat core of the slice's trace formula,
+//     unversioned: the operations that actually cause the
+//     infeasibility, per the parsimonious-abstraction idea the paper
+//     cites ([16], "Abstractions from proofs"). Each atom is stored in
+//     one orientation of its ± pair (orient), so p and ¬p are one
+//     predicate.
+//  2. Constant facts `x == c` established along the slice, but only for
+//     a variable x that one of those core atoms names. This recovers
+//     the facts an interpolating prover would find for increment
+//     chains without guessing constants of variables the refutation
+//     never mentions.
+//
+// When the refinement solve does not answer Unsat (deadline, limit or
+// injected fault), it mines the whole trace formula instead and keeps
+// every constant fact — a superset, so refinement can only get more
+// predicates, never wrong ones.
 func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []predicate, seen map[string]bool) ([]predicate, bool) {
 	sp := obs.StartSpan(obs.PhaseRefine)
 	defer sp.End()
 	grew := false
-	add := func(g logic.Formula) {
-		if g == nil || len(preds) >= c.opts.MaxPreds {
+	add := func(g logic.Cmp) {
+		if len(preds) >= c.opts.MaxPreds {
 			return
 		}
 		key := g.String()
@@ -1555,37 +1578,48 @@ func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []predicate,
 		preds = append(preds, c.newPredicate(g, key))
 		grew = true
 	}
-	// 1. Atoms of the slice's trace formula, unversioned. When the
-	// formula is unsatisfiable (the usual case during refinement), mine
-	// only the atoms of a minimized unsat core: the operations that
-	// actually cause the infeasibility, per the parsimonious-abstraction
-	// idea the paper cites ([16], "Abstractions from proofs").
 	enc := wp.NewTraceEncoder(c.slicer.Prog, c.slicer.Alias, c.slicer.Addrs)
 	solver := smt.NewSolverWithLimits(c.opts.SolverLimits)
 	for _, op := range slice.Ops() {
 		solver.Assert(enc.EncodeOp(op))
 	}
-	// An Unknown here (deadline, limit, or injected fault) falls back
-	// to mining the whole trace formula — a superset of the unsat
-	// core's atoms, so refinement can only get more predicates, never
-	// wrong ones.
 	var mineFrom []logic.Formula
-	if r := solver.CheckCtx(ctx); r.Status == smt.StatusUnsat {
-		core, _ := solver.UnsatCore(ctx)
-		mineFrom = core
+	fromCore := false
+	if r := solver.CheckCtx(ctx); r.Status == smt.StatusUnsat && !c.refineUnknown {
+		mineFrom, _ = solver.UnsatCore(ctx)
+		fromCore = true
 	} else {
 		mineFrom = []logic.Formula{c.slicer.TraceFormula(slice)}
 	}
+	named := make(map[string]struct{}) // the variables the mined core atoms name
 	for _, f := range mineFrom {
 		for _, a := range collectAtoms(f) {
-			add(unversion(a))
+			g, ok := unversion(a)
+			if !ok {
+				continue
+			}
+			if fromCore {
+				logic.TermVars(g.X, named)
+				logic.TermVars(g.Y, named)
+			}
+			add(orient(g))
 		}
 	}
-	// 2. Constant facts established along the slice: propagate known
-	// constants forward through the slice's assignments and record
-	// `x == c` at every point a constant is produced. This recovers the
-	// facts an interpolating prover would find for increment chains
-	// ("Abstractions from proofs"-lite).
+	c.constFacts(slice, func(x string, v int64) {
+		if _, ok := named[x]; ok || !fromCore || c.eagerConstants {
+			add(constFact(x, v))
+		}
+	})
+	if c.onRefine != nil {
+		c.onRefine(fromCore, named, slice, preds)
+	}
+	return preds, grew
+}
+
+// constFacts propagates known constants forward through the slice's
+// assignments and calls fact for each constant v an assignment to x
+// produces.
+func (c *Checker) constFacts(slice cfa.Path, fact func(x string, v int64)) {
 	consts := make(map[string]int64)
 	for _, e := range slice {
 		op := e.Op
@@ -1599,15 +1633,32 @@ func (c *Checker) refine(ctx context.Context, slice cfa.Path, preds []predicate,
 			}
 			continue
 		}
-		if v, ok := evalConst(op.RHS, consts); ok {
-			consts[op.LHS.Var] = v
-			add(logic.Cmp{Op: logic.CmpEq,
-				X: logic.Var{Name: op.LHS.Var}, Y: logic.Const{V: v}})
-		} else {
+		v, ok := evalConst(op.RHS, consts)
+		if !ok {
 			delete(consts, op.LHS.Var)
+			continue
 		}
+		consts[op.LHS.Var] = v
+		fact(op.LHS.Var, v)
 	}
-	return preds, grew
+}
+
+// constFact is the predicate x == v.
+func constFact(x string, v int64) logic.Cmp {
+	return logic.Cmp{Op: logic.CmpEq, X: logic.Var{Name: x}, Y: logic.Const{V: v}}
+}
+
+// orient returns the member of a's ± pair that refinement stores: an
+// atom with !=, > or >= becomes its negation with ==, <= or <. Over
+// the integers a and ¬a split the states identically, so the Cartesian
+// abstraction over {a} equals the one over {a, ¬a}, and storing one
+// orientation loses nothing.
+func orient(a logic.Cmp) logic.Cmp {
+	switch a.Op {
+	case logic.CmpNe, logic.CmpGt, logic.CmpGe:
+		a.Op = a.Op.Negated()
+	}
+	return a
 }
 
 // evalConst evaluates an expression under a constant environment.
@@ -1687,25 +1738,50 @@ func collectAtoms(f logic.Formula) []logic.Cmp {
 	return out
 }
 
-// unversion strips SSA "@k" suffixes from an atom's variables and drops
-// atoms that mention solver-internal variables ($in, $u, $f, $h).
-func unversion(a logic.Cmp) logic.Formula {
-	vars := make(map[string]struct{})
-	logic.TermVars(a.X, vars)
-	logic.TermVars(a.Y, vars)
-	if len(vars) == 0 {
-		return nil // ground atom: useless as a predicate
+// unversion strips SSA "@k" suffixes from an atom's variables in one
+// walk. It rejects (ok false) a ground atom, useless as a predicate,
+// and one that mentions a solver-internal variable ($in, $u, $f, $h).
+// Subterms without a versioned variable are shared, not copied.
+func unversion(a logic.Cmp) (g logic.Cmp, ok bool) {
+	vars := 0
+	x, _ := unversionTerm(a.X, &vars)
+	y, _ := unversionTerm(a.Y, &vars)
+	if x == nil || y == nil || vars == 0 {
+		return g, false
 	}
-	sub := make(map[string]logic.Term, len(vars))
-	for name := range vars {
-		if strings.HasPrefix(name, "$") {
-			return nil
+	return logic.Cmp{Op: a.Op, X: x, Y: y}, true
+}
+
+// unversionTerm is unversion on a term: it returns the unversioned
+// term, nil when t mentions a solver-internal variable, and whether
+// the term changed; vars counts t's variables.
+func unversionTerm(t logic.Term, vars *int) (logic.Term, bool) {
+	switch u := t.(type) {
+	case logic.Var:
+		if strings.HasPrefix(u.Name, "$") {
+			return nil, false
 		}
-		base := name
-		if i := strings.LastIndex(name, "@"); i >= 0 {
-			base = name[:i]
+		*vars++
+		if i := strings.LastIndexByte(u.Name, '@'); i >= 0 {
+			return logic.Var{Name: u.Name[:i]}, true
 		}
-		sub[name] = logic.Var{Name: base}
+	case logic.Bin:
+		x, cx := unversionTerm(u.X, vars)
+		y, cy := unversionTerm(u.Y, vars)
+		if x == nil || y == nil {
+			return nil, false
+		}
+		if cx || cy {
+			return logic.Bin{Op: u.Op, X: x, Y: y}, true
+		}
+	case logic.Neg:
+		x, cx := unversionTerm(u.X, vars)
+		if x == nil {
+			return nil, false
+		}
+		if cx {
+			return logic.Neg{X: x}, true
+		}
 	}
-	return logic.Subst(logic.Formula(a), sub)
+	return t, false
 }

@@ -21,8 +21,8 @@ type namedProgram struct {
 }
 
 // entailmentPrograms returns determinismPrograms and every cluster of
-// the Table-1 profiles at scale 0.12, generated at two seeds: the
-// paper's and one shifted by 1000.
+// the Table-1 profiles at scale 0.12, generated at three seeds: the
+// paper's and two shifted by 1000 and 2000.
 func entailmentPrograms(t *testing.T) []namedProgram {
 	t.Helper()
 	var out []namedProgram
@@ -34,7 +34,7 @@ func entailmentPrograms(t *testing.T) []namedProgram {
 	for _, name := range names {
 		out = append(out, namedProgram{name, compile.MustSource(determinismPrograms[name])})
 	}
-	for _, shift := range []int64{0, 1000} {
+	for _, shift := range []int64{0, 1000, 2000} {
 		for _, p := range synth.PaperProfiles(0.12) {
 			p.Seed += shift
 			ins, err := bench.CompileProfile(p)

@@ -56,6 +56,50 @@ func PlantCopyUndetermined(c *Checker) { c.copyUndetermined = true }
 // entailment query Sat without deciding it.
 func PlantSkipLastComponent(c *Checker) { c.skipLastComponent = true }
 
+// Refinement is what one refinement of a check mined.
+type Refinement struct {
+	// FromCore reports whether the refinement solve answered Unsat, so
+	// the refinement mined a minimized unsat core rather than the whole
+	// trace formula.
+	FromCore bool
+	// Named lists the variables the mined core atoms name (none when
+	// FromCore is false).
+	Named []string
+	// Constants lists every constant fact x == c along the slice, for
+	// every variable x.
+	Constants []logic.Cmp
+	// Preds is the predicate list after the refinement, in order.
+	Preds []logic.Formula
+}
+
+// RecordRefinements appends each refinement c makes to log.
+func RecordRefinements(c *Checker, log *[]Refinement) {
+	c.onRefine = func(fromCore bool, named map[string]struct{}, slice cfa.Path, preds []predicate) {
+		r := Refinement{FromCore: fromCore}
+		for x := range named {
+			r.Named = append(r.Named, x)
+		}
+		c.constFacts(slice, func(x string, v int64) {
+			r.Constants = append(r.Constants, constFact(x, v))
+		})
+		for _, p := range preds {
+			r.Preds = append(r.Preds, p.f)
+		}
+		*log = append(*log, r)
+	}
+}
+
+// ForceRefinementUnknown makes every refinement solve of c answer
+// Unknown, as a deadline, a solver limit or an injected fault would.
+func ForceRefinementUnknown(c *Checker) { c.refineUnknown = true }
+
+// PlantEagerConstants makes c add every constant fact along the slice,
+// whether or not a core atom names its variable.
+func PlantEagerConstants(c *Checker) { c.eagerConstants = true }
+
+// Orient is the orientation refinement stores a mined atom in.
+func Orient(a logic.Cmp) logic.Cmp { return orient(a) }
+
 // PostProbe reports a repeated post: the objects one repetition
 // allocates, the memo hits of all of them and the states kept.
 type PostProbe struct {
